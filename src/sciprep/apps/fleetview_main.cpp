@@ -1,28 +1,27 @@
 // fleetview — fleet-level telemetry federation (DESIGN.md §15).
 //
-// Merges N per-scope metrics time-series — fleet.v1 JSONL written by traced
-// wire clients (--fleet-out) and/or insight exporter JSONL ticks — into one
-// time-ordered `sciprep.flow.fleet.v1` series plus an aggregated Prometheus
-// text body with a {scope="..."} label per source and an unlabelled
-// fleet-wide sum:
+// Merges N per-scope `sciprep.flow.fleet.v1` metrics time-series — written
+// by traced wire clients (--fleet-out) and by the insight exporter
+// (--metrics-jsonl) — into one time-ordered fleet.v1 series plus an
+// aggregated Prometheus text body with a {scope="..."} label per source and
+// an unlabelled fleet-wide sum:
 //
 //   fleetview tenant0.fleet.jsonl tenant1.fleet.jsonl
 //       --scope rank0 rank0.metrics.jsonl
 //       --out-jsonl fleet.jsonl --out-prom fleet.prom --require-reconciled
 //
-// `--scope NAME` labels the *next* input file when its lines carry no scope
-// of their own (exporter ticks from a pre-flow trainer). The merge is
+// `--scope NAME` labels the *next* input file's lines whose scope is empty
+// (a whole-process exporter series). The merge is
 // self-checking: every scope's summed deltas must equal its last declared
 // cumulative totals, and --require-reconciled turns any mismatch (a lost or
 // truncated line) into a nonzero exit — this backs the flow_trace_smoke
 // reconciliation step.
 #include <cstdio>
 #include <exception>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "sciprep/common/sysio.hpp"
 #include "sciprep/flow/fleet.hpp"
 
 namespace {
@@ -68,29 +67,20 @@ Args parse_args(int argc, char** argv) {
       std::fprintf(stderr, "fleetview: unknown flag %s\n", f.c_str());
       usage();
     } else {
-      std::ifstream in(f, std::ios::binary);
-      if (!in) {
-        std::fprintf(stderr, "fleetview: cannot read %s\n", f.c_str());
+      Bytes text;
+      try {
+        text = sysio::read_file(f);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "fleetview: %s\n", e.what());
         std::exit(2);
       }
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      a.inputs.push_back({pending_scope, buf.str()});
+      a.inputs.push_back({pending_scope, std::string(text.begin(), text.end())});
       a.paths.push_back(f);
       pending_scope.clear();
     }
   }
   if (a.inputs.empty()) usage();
   return a;
-}
-
-void write_file(const std::string& path, const std::string& body) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "fleetview: cannot write %s\n", path.c_str());
-    std::exit(2);
-  }
-  out << body;
 }
 
 }  // namespace
@@ -111,11 +101,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(merged.lines_skipped));
     std::printf("%s\n", merged.summary_json().c_str());
     if (!args.out_jsonl.empty()) {
-      write_file(args.out_jsonl, merged.merged_jsonl);
+      sysio::write_file(args.out_jsonl, as_bytes(merged.merged_jsonl));
       std::printf("fleetview: merged series -> %s\n", args.out_jsonl.c_str());
     }
     if (!args.out_prom.empty()) {
-      write_file(args.out_prom, merged.prometheus);
+      sysio::write_file(args.out_prom, as_bytes(merged.prometheus));
       std::printf("fleetview: prometheus -> %s\n", args.out_prom.c_str());
     }
     if (args.require_reconciled && !merged.reconciled) {

@@ -33,7 +33,7 @@
 //
 // Insight (sciprep::insight, DESIGN.md §10):
 //   --metrics-jsonl FILE [--metrics-interval-ms N] streams delta-aware
-//   metrics ticks (totals + per-second rates) to a JSONL time-series while
+//   fleet.v1 metrics ticks (totals + deltas) to a JSONL time-series while
 //   the run is live; --metrics-prom FILE additionally maintains a
 //   Prometheus-style text file. --report-out FILE runs the critical-path
 //   analyzer after the epoch loop and writes a ranked BottleneckReport (the
@@ -43,6 +43,7 @@
 //   the pipeline's config fingerprint. --validate extends to these files.
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -52,6 +53,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -65,6 +67,7 @@
 #include "sciprep/codec/cosmo_codec.hpp"
 #include "sciprep/common/log.hpp"
 #include "sciprep/common/stats.hpp"
+#include "sciprep/common/sysio.hpp"
 #include "sciprep/common/threadpool.hpp"
 #include "sciprep/guard/guard.hpp"
 #include "sciprep/data/cam_gen.hpp"
@@ -877,16 +880,20 @@ int finish_shard_digest(const TrainerArgs& args, const ShardRunResult& run) {
   return failures;
 }
 
+/// Counts --validate violations, printing each one as it is found.
+struct Checker {
+  int failures = 0;
+  void operator()(bool ok, const std::string& what) {
+    if (ok) return;
+    std::fprintf(stderr, "validate: FAIL %s\n", what.c_str());
+    ++failures;
+  }
+};
+
 /// --validate for shard mode: exact-once accounting across the world, the
 /// digest covering every delivered sample, and the failure bookkeeping.
 int validate_shard(const TrainerArgs& args, const ShardRunResult& run) {
-  int failures = 0;
-  auto check = [&](bool ok, const std::string& what) {
-    if (!ok) {
-      std::fprintf(stderr, "validate: FAIL %s\n", what.c_str());
-      ++failures;
-    }
-  };
+  Checker check;
   const std::uint64_t expected =
       static_cast<std::uint64_t>(args.samples) *
       static_cast<std::uint64_t>(args.epochs);
@@ -911,8 +918,8 @@ int validate_shard(const TrainerArgs& args, const ShardRunResult& run) {
     check(run.stats.ranks_lost == 0, "no rank losses in a healthy run");
     check(run.stats.alive == args.ranks, "every rank alive in a healthy run");
   }
-  if (failures == 0) std::printf("validate(shard): OK\n");
-  return failures;
+  if (check.failures == 0) std::printf("validate(shard): OK\n");
+  return check.failures;
 }
 
 /// One tenant's outcome in a serve-mode run.
@@ -1264,13 +1271,7 @@ void finish_serve_digest(const TrainerArgs& args,
 /// by the chaos (no skips, no deadline expiries), and the service must have
 /// converged (charges released, shedding cleared, pool drained).
 int validate_serve(const TrainerArgs& args, const ServeRunResult& run) {
-  int failures = 0;
-  auto check = [&](bool ok, const std::string& what) {
-    if (!ok) {
-      std::fprintf(stderr, "validate: FAIL %s\n", what.c_str());
-      ++failures;
-    }
-  };
+  Checker check;
   const obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   auto counter_matches = [&](const char* name, std::uint64_t expected) {
     check(reg.counter_value(name) == expected,
@@ -1330,8 +1331,8 @@ int validate_serve(const TrainerArgs& args, const ServeRunResult& run) {
   check(!run.shedding_end, "shedding cleared once the roster drained");
   check(run.queue_end == 0,
         fmt("shared pool drained ({} tasks still queued)", run.queue_end));
-  if (failures == 0) std::printf("validate(serve): OK\n");
-  return failures;
+  if (check.failures == 0) std::printf("validate(serve): OK\n");
+  return check.failures;
 }
 
 /// Wire-server run summary: the serve harvest plus transport accounting.
@@ -1450,13 +1451,7 @@ void run_wire_server(const TrainerArgs& args, fault::Injector& injector,
 /// been exercised (resends for drops, re-attaches for corruption).
 int validate_wire_server(const TrainerArgs& args,
                          const WireServerRunResult& run) {
-  int failures = 0;
-  auto check = [&](bool ok, const std::string& what) {
-    if (!ok) {
-      std::fprintf(stderr, "validate: FAIL %s\n", what.c_str());
-      ++failures;
-    }
-  };
+  Checker check;
   check(run.all_detached, "every tenant detached before the serve deadline");
   std::uint64_t attaches = 0;
   std::uint64_t resends = 0;
@@ -1494,8 +1489,8 @@ int validate_wire_server(const TrainerArgs& args,
               "({} attaches across {} tenants)",
               attaches, args.tenants));
   }
-  if (failures == 0) std::printf("validate(wire-server): OK\n");
-  return failures;
+  if (check.failures == 0) std::printf("validate(wire-server): OK\n");
+  return check.failures;
 }
 
 /// Wire-client run summary.
@@ -1544,7 +1539,7 @@ void run_wire_client(const TrainerArgs& args, WireClientRunResult& out) {
   // delta since the previous pull, stamped with this process's run clock.
   auto pull_fleet_line = [&]() {
     const wire::StatsPayload pulled = client.pull_server_stats();
-    out.fleet_jsonl += flow::fleet_line(
+    out.fleet_jsonl += obs::fleet_line(
         pulled.scope, client.stats_pulls(),
         static_cast<double>(obs::Tracer::global().now_ns()) / 1e9,
         client.server_totals(), pulled.delta);
@@ -1649,11 +1644,7 @@ int finish_wire_client_digest(const TrainerArgs& args,
 /// timeline by the CLOCK_SYNC offset.
 void finish_flow(const TrainerArgs& args, const WireClientRunResult& run) {
   if (!args.fleet_out.empty()) {
-    std::ofstream file(args.fleet_out, std::ios::trunc);
-    if (!file) {
-      throw IoError(fmt("trainer: cannot write '{}'", args.fleet_out));
-    }
-    file << run.fleet_jsonl;
+    sysio::write_file(args.fleet_out, as_bytes(run.fleet_jsonl));
     std::printf("fleet: scope '%s' -> %s\n", run.server_scope.c_str(),
                 args.fleet_out.c_str());
   }
@@ -1697,13 +1688,7 @@ void finish_flow(const TrainerArgs& args, const WireClientRunResult& run) {
 /// server's declared tenant totals).
 int validate_flow_client(const TrainerArgs& args,
                          const WireClientRunResult& run) {
-  int failures = 0;
-  auto check = [&](bool ok, const std::string& what) {
-    if (!ok) {
-      std::fprintf(stderr, "validate: FAIL %s\n", what.c_str());
-      ++failures;
-    }
-  };
+  Checker check;
   obs::Tracer& tracer = obs::Tracer::global();
   const flow::FlowValidation v = flow::validate_flow(
       tracer.snapshot(), run.server_trace.spans,
@@ -1734,8 +1719,8 @@ int validate_flow_client(const TrainerArgs& args,
     check(fleet.lines_skipped == 0,
           fmt("every fleet line parsed ({} skipped)", fleet.lines_skipped));
   }
-  if (failures == 0) std::printf("validate(flow): OK\n");
-  return failures;
+  if (check.failures == 0) std::printf("validate(flow): OK\n");
+  return check.failures;
 }
 
 /// --validate for a wire client: the server's DETACHED accounting must agree
@@ -1746,13 +1731,7 @@ int validate_flow_client(const TrainerArgs& args,
 /// re-attached the same session.
 int validate_wire_client(const TrainerArgs& args,
                          const WireClientRunResult& run) {
-  int failures = 0;
-  auto check = [&](bool ok, const std::string& what) {
-    if (!ok) {
-      std::fprintf(stderr, "validate: FAIL %s\n", what.c_str());
-      ++failures;
-    }
-  };
+  Checker check;
   check(run.digest_lines.size() == run.samples,
         fmt("digest covers every delivered sample ({} vs {})",
             run.digest_lines.size(), run.samples));
@@ -1781,18 +1760,30 @@ int validate_wire_client(const TrainerArgs& args,
           fmt("client and server stream digests agree ({:08x} vs {:08x})",
               run.stream, run.server_stats.digest_crc));
   }
-  if (failures == 0) std::printf("validate(wire-client): OK\n");
-  return failures;
+  if (check.failures == 0) std::printf("validate(wire-client): OK\n");
+  return check.failures;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw IoError(fmt("trainer: cannot read back '{}'", path));
+/// Read an emitted artifact back as text; an unreadable file is a violation
+/// and reads as empty.
+std::string read_back(Checker& check, const std::string& path) {
+  try {
+    const Bytes bytes = sysio::read_file(path);
+    return std::string(bytes.begin(), bytes.end());
+  } catch (const IoError&) {
+    check(false, fmt("'{}' is readable", path));
+    return {};
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+}
+
+/// Read an emitted JSON artifact back and parse it; `what` names it in the
+/// validity check.
+obs::JsonValue read_json(Checker& check, const std::string& path,
+                         const std::string& what) {
+  obs::JsonValue doc;
+  check(obs::json_parse(read_back(check, path), doc),
+        fmt("{} is valid JSON", what));
+  return doc;
 }
 
 /// --validate: re-read the emitted artifacts and cross-check them. Returns
@@ -1800,26 +1791,14 @@ std::string read_file(const std::string& path) {
 int validate_outputs(const TrainerArgs& args,
                      const pipeline::PipelineStats& stats,
                      const std::vector<std::size_t>& quarantine) {
-  int failures = 0;
-  auto check = [&](bool ok, const std::string& what) {
-    if (!ok) {
-      std::fprintf(stderr, "validate: FAIL %s\n", what.c_str());
-      ++failures;
-    }
-  };
-  // Exact-value counter match in the JSON dump ("name":value framing).
-  auto json_counter_is = [](const std::string& doc, const std::string& key,
-                            std::uint64_t value) {
-    const std::string needle = fmt("\"{}\":{}", key, value);
-    const std::size_t at = doc.find(needle);
-    if (at == std::string::npos) return false;
-    const std::size_t end = at + needle.size();
-    return end >= doc.size() || doc[end] == ',' || doc[end] == '}';
-  };
+  Checker check;
 
   if (!args.trace_out.empty()) {
-    const std::string trace = read_file(args.trace_out);
-    check(obs::json_valid(trace), "trace file is valid JSON");
+    const obs::JsonValue trace = read_json(check, args.trace_out, "trace file");
+    std::set<std::string> spans;
+    for (const obs::JsonValue& event : trace.at("traceEvents").as_array()) {
+      spans.insert(event.string_or("name", ""));
+    }
     std::vector<std::string> expected = {
         "pipeline.shuffle", "pipeline.decode", "pipeline.ops",
         "pipeline.batch_assemble", "pipeline.prefetch_wait"};
@@ -1827,35 +1806,40 @@ int validate_outputs(const TrainerArgs& args,
     expected.push_back(fmt("codec.{}.decode_{}", args.workload,
                            args.placement));
     for (const std::string& name : expected) {
-      check(trace.find(fmt("\"name\":\"{}\"", name)) != std::string::npos,
-            fmt("trace contains span '{}'", name));
+      check(spans.count(name) > 0, fmt("trace contains span '{}'", name));
     }
   }
 
   if (!args.metrics_out.empty()) {
-    const std::string metrics = read_file(args.metrics_out);
-    check(obs::json_valid(metrics), "metrics file is valid JSON");
+    const obs::JsonValue metrics =
+        read_json(check, args.metrics_out, "metrics file");
+    const obs::JsonValue& counters = metrics.at("counters");
+    const obs::JsonValue& histograms = metrics.at("histograms");
+    auto check_has = [&](const obs::JsonValue& section,
+                         const std::string& key) {
+      check(section.has(key), fmt("metrics contains '{}'", key));
+    };
     for (const char* key :
          {"pipeline.stage.decode_seconds", "pipeline.stage.ops_seconds",
           "pipeline.stage.batch_assemble_seconds",
-          "pipeline.stage.prefetch_wait_seconds", "pipeline.pool.tasks_total",
-          "pipeline.samples_total", "pipeline.bytes_at_rest_total"}) {
-      check(metrics.find(fmt("\"{}\"", key)) != std::string::npos,
-            fmt("metrics contains '{}'", key));
+          "pipeline.stage.prefetch_wait_seconds"}) {
+      check_has(histograms, key);
     }
-    check(metrics.find("\"p50\":") != std::string::npos &&
-              metrics.find("\"p90\":") != std::string::npos &&
-              metrics.find("\"p99\":") != std::string::npos,
-          "metrics histograms carry p50/p90/p99 summaries");
-    const std::string byte_counter =
-        fmt("codec.{}.decode_bytes_in_total", args.workload);
-    check(metrics.find(fmt("\"{}\"", byte_counter)) != std::string::npos,
-          fmt("metrics contains '{}'", byte_counter));
+    for (const char* key : {"pipeline.pool.tasks_total",
+                            "pipeline.samples_total",
+                            "pipeline.bytes_at_rest_total"}) {
+      check_has(counters, key);
+    }
+    bool quantiles = !histograms.as_object().empty();
+    for (const auto& [name, h] : histograms.as_object()) {
+      quantiles = quantiles && h.has("p50") && h.has("p90") && h.has("p99");
+    }
+    check(quantiles, "metrics histograms carry p50/p90/p99 summaries");
+    check_has(counters, fmt("codec.{}.decode_bytes_in_total", args.workload));
     if (args.injecting()) {
-      check(metrics.find("\"fault.injected_total\"") != std::string::npos,
-            "metrics contains 'fault.injected_total'");
-      check(json_counter_is(metrics, "pipeline.samples_skipped_total",
-                            stats.samples_skipped),
+      check_has(counters, "fault.injected_total");
+      check(counters.number_or("pipeline.samples_skipped_total", -1) ==
+                static_cast<double>(stats.samples_skipped),
             "metrics dump agrees with stats.samples_skipped");
     }
   }
@@ -1895,44 +1879,28 @@ int validate_outputs(const TrainerArgs& args,
     check(stats.decode_cpu_seconds == 0.0,
           "GPU placement leaves decode_cpu_seconds at zero");
   }
-  if (failures == 0) std::printf("validate: OK\n");
-  return failures;
-}
-
-/// Scan one JSONL metrics tick for `"<key>":{"total":..,"delta":D,..}` and
-/// return D (0 when the counter is absent from the line).
-double jsonl_counter_delta(const std::string& line, const std::string& key) {
-  const std::size_t at = line.find(fmt("\"{}\":{{", key));
-  if (at == std::string::npos) return 0;
-  const std::size_t d = line.find("\"delta\":", at);
-  if (d == std::string::npos) return 0;
-  return std::strtod(line.c_str() + d + 8, nullptr);
+  if (check.failures == 0) std::printf("validate: OK\n");
+  return check.failures;
 }
 
 /// --validate for the insight artifacts: the bottleneck report, the JSONL
 /// time-series, and the flight-recorder incidents. Returns the number of
 /// violations (0 = clean).
 int validate_insight(const TrainerArgs& args, std::uint64_t fingerprint) {
-  int failures = 0;
-  auto check = [&](bool ok, const std::string& what) {
-    if (!ok) {
-      std::fprintf(stderr, "validate: FAIL %s\n", what.c_str());
-      ++failures;
-    }
-  };
+  Checker check;
 
   if (!args.report_out.empty()) {
-    const std::string report = read_file(args.report_out);
-    check(obs::json_valid(report), "bottleneck report is valid JSON");
-    check(report.find("\"schema\":\"sciprep.insight.bottleneck.v1\"") !=
-              std::string::npos,
+    const obs::JsonValue report =
+        read_json(check, args.report_out, "bottleneck report");
+    check(report.string_or("schema", "") == "sciprep.insight.bottleneck.v1",
           "bottleneck report carries its schema tag");
     // Instrumentation drift: a pipeline.stage.* histogram the analyzer does
     // not recognise means a stage was added without teaching the analyzer.
-    check(report.find("\"unattributed_histograms\":[]") != std::string::npos,
+    const obs::JsonValue& unattributed = report.at("unattributed_histograms");
+    check(unattributed.is_array() && unattributed.as_array().empty(),
           "analyzer attributes every pipeline.stage.* histogram");
     if (args.inject_delay > 0) {
-      check(report.find("\"dominant_stage\":\"io.read\"") != std::string::npos,
+      check(report.string_or("dominant_stage", "") == "io.read",
             "injected IO stalls make io.read the dominant stage");
     }
     // Cross-check the analyzer against the histogram it summarizes: the
@@ -1941,14 +1909,13 @@ int validate_insight(const TrainerArgs& args, std::uint64_t fingerprint) {
     // so no subtraction is involved on either side).
     const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
     const auto hist = snap.histograms.find("pipeline.stage.io_read_seconds");
-    const std::size_t name_at = report.find("\"name\":\"io.read\"");
-    const std::size_t busy_at =
-        name_at == std::string::npos
-            ? std::string::npos
-            : report.find("\"busy_seconds\":", name_at);
-    if (hist != snap.histograms.end() && busy_at != std::string::npos) {
-      const double reported =
-          std::strtod(report.c_str() + busy_at + 15, nullptr);
+    const obs::JsonValue* io_read = nullptr;
+    for (const obs::JsonValue& stage : report.at("stages").as_array()) {
+      if (stage.string_or("name", "") == "io.read") io_read = &stage;
+    }
+    if (hist != snap.histograms.end() && io_read != nullptr &&
+        io_read->has("busy_seconds")) {
+      const double reported = io_read->number_or("busy_seconds", -1);
       const double actual = hist->second.sum;
       check(std::fabs(reported - actual) <=
                 std::max(1e-6, 0.01 * std::fabs(actual)),
@@ -1960,8 +1927,7 @@ int validate_insight(const TrainerArgs& args, std::uint64_t fingerprint) {
   }
 
   if (!args.metrics_jsonl.empty()) {
-    std::ifstream in(args.metrics_jsonl);
-    check(static_cast<bool>(in), "metrics JSONL is readable");
+    std::istringstream in(read_back(check, args.metrics_jsonl));
     std::size_t lines = 0;
     bool retried = false;
     bool saw_rss = false;
@@ -1969,20 +1935,19 @@ int validate_insight(const TrainerArgs& args, std::uint64_t fingerprint) {
     for (std::string line; std::getline(in, line);) {
       if (line.empty()) continue;
       ++lines;
-      check(obs::json_valid(line),
+      obs::JsonValue tick;
+      check(obs::json_parse(line, tick),
             fmt("metrics JSONL line {} is valid JSON", lines));
-      if (jsonl_counter_delta(line, "pipeline.retries_total") > 0) {
-        retried = true;
-      }
-      if (line.find("\"proc.rss_bytes\"") != std::string::npos) saw_rss = true;
-      if (line.find("\"proc.cpu_utime_ms\"") != std::string::npos) {
-        saw_cpu = true;
-      }
+      const obs::JsonValue& retries =
+          tick.at("counters").at("pipeline.retries_total");
+      if (retries.number_or("delta", 0) > 0) retried = true;
+      if (tick.at("gauges").has("proc.rss_bytes")) saw_rss = true;
+      if (tick.at("gauges").has("proc.cpu_utime_ms")) saw_cpu = true;
     }
     check(lines > 0, "metrics JSONL contains at least one tick");
     if (args.inject_transient > 0 && args.fault_policy == "retry-skip") {
       check(retried,
-            "JSONL time-series shows a non-zero retry rate under injection");
+            "JSONL time-series shows a non-zero retry delta under injection");
     }
 #if !defined(SCIPREP_OBS_DISABLED)
     // The ResourceSampler publishes on the exporter cadence unless it was
@@ -2007,14 +1972,18 @@ int validate_insight(const TrainerArgs& args, std::uint64_t fingerprint) {
       const std::string name = entry.path().filename().string();
       if (name.rfind("incident-", 0) != 0) continue;
       ++incidents;
-      const std::string body = read_file(entry.path().string());
-      check(obs::json_valid(body), fmt("incident '{}' is valid JSON", name));
+      const obs::JsonValue body = read_json(check, entry.path().string(),
+                                            fmt("incident '{}'", name));
       if (!args.trace_out.empty()) {
-        check(body.find("\"t_start_ns\"") != std::string::npos,
+        const auto& spans = body.at("spans").as_array();
+        check(std::any_of(spans.begin(), spans.end(),
+                          [](const obs::JsonValue& span) {
+                            return span.has("t_start_ns");
+                          }),
               fmt("incident '{}' embeds at least one span", name));
       }
-      check(body.find(fmt("\"config_fingerprint\":\"{:x}\"", fingerprint)) !=
-                std::string::npos,
+      check(body.string_or("config_fingerprint", "") ==
+                fmt("{:x}", fingerprint),
             fmt("incident '{}' names this run's config fingerprint", name));
       if (name.find("-deadline_expired.json") != std::string::npos) {
         saw_deadline = true;
@@ -2027,8 +1996,8 @@ int validate_insight(const TrainerArgs& args, std::uint64_t fingerprint) {
     }
   }
 
-  if (failures == 0) std::printf("validate(insight): OK\n");
-  return failures;
+  if (check.failures == 0) std::printf("validate(insight): OK\n");
+  return check.failures;
 }
 
 }  // namespace

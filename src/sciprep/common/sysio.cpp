@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 #include "sciprep/common/error.hpp"
@@ -135,6 +136,17 @@ void write_file(const std::string& path, ByteSpan data) {
 
 void append_file(const std::string& path, ByteSpan data) {
   write_open(path, O_CREAT | O_APPEND, data);
+}
+
+void write_file_atomic(const std::string& path, ByteSpan data) {
+  const std::string tmp = path + ".tmp";
+  write_file(tmp, data);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int err = errno;
+    std::remove(tmp.c_str());
+    throw IoError(fmt("sysio: cannot rename '{}' over '{}': {}", tmp, path,
+                      std::strerror(err)));
+  }
 }
 
 }  // namespace sciprep::sysio

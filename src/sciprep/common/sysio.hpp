@@ -45,4 +45,9 @@ void write_file(const std::string& path, ByteSpan data);
 /// Append `data` to `path`, creating it if absent.
 void append_file(const std::string& path, ByteSpan data);
 
+/// Write `data` to `path + ".tmp"` and rename it over `path`, so readers see
+/// either the old complete file or the new one, never a torn write. On a
+/// failed rename the tmp file is removed and IoError thrown.
+void write_file_atomic(const std::string& path, ByteSpan data);
+
 }  // namespace sciprep::sysio

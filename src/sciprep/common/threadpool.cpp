@@ -17,14 +17,17 @@ std::uint32_t thread_index() noexcept {
 namespace {
 
 // Function-local statics: usable from other static-storage objects (the
-// global tracer's exporter) regardless of initialization order.
+// global tracer's exporter) regardless of initialization order. Leaked on
+// purpose, never destroyed: both are first built inside a pool worker's
+// set_thread_name(), so as ordinary statics they could finish construction
+// after global_pool()'s and be destroyed before the pool's workers exit.
 std::mutex& thread_names_mutex() {
-  static std::mutex mutex;
+  static auto& mutex = *new std::mutex;
   return mutex;
 }
 
 std::map<std::uint32_t, std::string>& thread_names_map() {
-  static std::map<std::uint32_t, std::string> names;
+  static auto& names = *new std::map<std::uint32_t, std::string>;
   return names;
 }
 

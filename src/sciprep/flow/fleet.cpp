@@ -2,102 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <utility>
 
 #include "sciprep/common/format.hpp"
-#include "sciprep/flow/snapshot.hpp"
 #include "sciprep/obs/json.hpp"
-#include "sciprep/perfscope/jsondom.hpp"
 
 namespace sciprep::flow {
 
 namespace {
-
-void append_snapshot_fields(std::string& line,
-                            const obs::MetricsSnapshot& totals,
-                            const obs::MetricsSnapshot& delta) {
-  line += "\"counters\":{";
-  bool first = true;
-  for (const auto& [name, total] : totals.counters) {
-    const auto it = delta.counters.find(name);
-    const std::uint64_t d = it == delta.counters.end() ? 0 : it->second;
-    if (!first) line += ',';
-    first = false;
-    line += fmt("\"{}\":{{\"total\":{},\"delta\":{}}}", obs::json_escape(name),
-                total, d);
-  }
-  line += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : totals.gauges) {
-    if (!first) line += ',';
-    first = false;
-    line += fmt("\"{}\":{{\"value\":{},\"high_watermark\":{}}}",
-                obs::json_escape(name), g.value, g.high_watermark);
-  }
-  line += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : totals.histograms) {
-    const auto it = delta.histograms.find(name);
-    const std::uint64_t dc = it == delta.histograms.end() ? 0 : it->second.count;
-    const double ds = it == delta.histograms.end() ? 0.0 : it->second.sum;
-    if (!first) line += ',';
-    first = false;
-    line += fmt(
-        "\"{}\":{{\"count\":{},\"sum\":{},\"count_delta\":{},"
-        "\"sum_delta\":{}}}",
-        obs::json_escape(name), h.count, obs::json_number(h.sum), dc,
-        obs::json_number(ds));
-  }
-  line += '}';
-}
-
-struct ParsedLine {
-  double t = 0;
-  std::string scope;
-  obs::MetricsSnapshot totals;
-  obs::MetricsSnapshot delta;
-};
-
-/// Accepts a fleet.v1 line or an insight exporter tick; both carry the same
-/// counters/gauges/histograms member shapes.
-bool parse_line(std::string_view text, const std::string& scope_hint,
-                ParsedLine& out) {
-  perfscope::JsonValue doc;
-  if (!perfscope::json_parse(text, doc) || !doc.is_object()) return false;
-  const bool is_fleet = doc.string_or("schema", "") == kFleetSchema;
-  if (!is_fleet && !doc.has("counters") && !doc.has("histograms")) {
-    return false;  // some other JSONL stream (bench records, incidents, ...)
-  }
-  out.t = doc.number_or("t", 0);
-  out.scope = doc.string_or("scope", scope_hint);
-  if (out.scope.empty()) out.scope = "default";
-  for (const auto& [name, v] : doc.at("counters").as_object()) {
-    out.totals.counters[name] =
-        static_cast<std::uint64_t>(v.number_or("total", 0));
-    out.delta.counters[name] =
-        static_cast<std::uint64_t>(v.number_or("delta", 0));
-  }
-  for (const auto& [name, v] : doc.at("gauges").as_object()) {
-    obs::MetricsSnapshot::GaugeValue g;
-    g.value = static_cast<std::int64_t>(v.number_or("value", 0));
-    g.high_watermark =
-        static_cast<std::int64_t>(v.number_or("high_watermark", 0));
-    out.totals.gauges[name] = g;
-    out.delta.gauges[name] = g;
-  }
-  for (const auto& [name, v] : doc.at("histograms").as_object()) {
-    obs::MetricsSnapshot::HistogramSummary total;
-    total.count = static_cast<std::uint64_t>(v.number_or("count", 0));
-    total.sum = v.number_or("sum", 0);
-    out.totals.histograms[name] = total;
-    obs::MetricsSnapshot::HistogramSummary d;
-    d.count = static_cast<std::uint64_t>(v.number_or("count_delta", 0));
-    d.sum = v.number_or("sum_delta", 0);
-    out.delta.histograms[name] = d;
-  }
-  return true;
-}
 
 bool totals_match(const obs::MetricsSnapshot& accumulated,
                   const obs::MetricsSnapshot& declared) {
@@ -113,31 +25,7 @@ bool totals_match(const obs::MetricsSnapshot& accumulated,
   return true;
 }
 
-std::string prom_name(const std::string& name) {
-  std::string out = "sciprep_";
-  out.reserve(out.size() + name.size());
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9');
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
 }  // namespace
-
-std::string fleet_line(const std::string& scope, std::uint64_t seq,
-                       double t_seconds, const obs::MetricsSnapshot& totals,
-                       const obs::MetricsSnapshot& delta) {
-  std::string line;
-  line.reserve(1024);
-  line += fmt("{{\"schema\":\"{}\",\"scope\":\"{}\",\"seq\":{},\"t\":{},",
-              kFleetSchema, obs::json_escape(scope), seq,
-              obs::json_number(t_seconds));
-  append_snapshot_fields(line, totals, delta);
-  line += '}';
-  return line;
-}
 
 std::string FleetMergeResult::summary_json() const {
   std::string out;
@@ -166,7 +54,7 @@ std::string FleetMergeResult::summary_json() const {
 
 FleetMergeResult merge_fleet(const std::vector<FleetInput>& inputs) {
   FleetMergeResult result;
-  std::vector<ParsedLine> lines;
+  std::vector<obs::FleetLine> lines;
   for (const FleetInput& input : inputs) {
     std::size_t pos = 0;
     while (pos < input.text.size()) {
@@ -175,11 +63,13 @@ FleetMergeResult merge_fleet(const std::vector<FleetInput>& inputs) {
       const std::string_view line(input.text.data() + pos, end - pos);
       pos = end + 1;
       if (line.empty()) continue;
-      ParsedLine parsed;
-      if (!parse_line(line, input.scope_hint, parsed)) {
+      obs::FleetLine parsed;
+      if (!obs::parse_fleet_line(line, parsed)) {
         ++result.lines_skipped;
         continue;
       }
+      if (parsed.scope.empty()) parsed.scope = input.scope_hint;
+      if (parsed.scope.empty()) parsed.scope = "default";
       ++result.lines_parsed;
       lines.push_back(std::move(parsed));
     }
@@ -188,18 +78,18 @@ FleetMergeResult merge_fleet(const std::vector<FleetInput>& inputs) {
   // Global series: time-ordered, stable within equal timestamps so each
   // scope's own lines keep their original order.
   std::stable_sort(lines.begin(), lines.end(),
-                   [](const ParsedLine& a, const ParsedLine& b) {
+                   [](const obs::FleetLine& a, const obs::FleetLine& b) {
                      return a.t < b.t;
                    });
 
   std::uint64_t seq = 0;
-  for (const ParsedLine& line : lines) {
+  for (const obs::FleetLine& line : lines) {
     FleetScope& scope = result.scopes[line.scope];
     ++scope.lines;
-    snapshot_accumulate(scope.totals, line.delta);
+    obs::snapshot_accumulate(scope.totals, line.delta);
     scope.declared = line.totals;
     result.merged_jsonl +=
-        fleet_line(line.scope, seq++, line.t, line.totals, line.delta);
+        obs::fleet_line(line.scope, seq++, line.t, line.totals, line.delta);
     result.merged_jsonl += '\n';
   }
 
@@ -211,57 +101,9 @@ FleetMergeResult merge_fleet(const std::vector<FleetInput>& inputs) {
 
   // Aggregated Prometheus body: one labelled series per scope plus an
   // unlabelled fleet-wide sum.
-  std::set<std::string> counter_names;
-  std::set<std::string> gauge_names;
-  std::set<std::string> hist_names;
-  for (const auto& [sname, scope] : result.scopes) {
-    for (const auto& [n, v] : scope.totals.counters) counter_names.insert(n);
-    for (const auto& [n, v] : scope.totals.gauges) gauge_names.insert(n);
-    for (const auto& [n, v] : scope.totals.histograms) hist_names.insert(n);
-  }
-  std::string& prom = result.prometheus;
-  for (const std::string& name : counter_names) {
-    const std::string p = prom_name(name);
-    prom += fmt("# TYPE {} counter\n", p);
-    std::uint64_t total = 0;
-    for (const auto& [sname, scope] : result.scopes) {
-      const auto it = scope.totals.counters.find(name);
-      if (it == scope.totals.counters.end()) continue;
-      total += it->second;
-      prom += fmt("{}{{scope=\"{}\"}} {}\n", p, obs::json_escape(sname),
-                  it->second);
-    }
-    prom += fmt("{} {}\n", p, total);
-  }
-  for (const std::string& name : gauge_names) {
-    const std::string p = prom_name(name);
-    prom += fmt("# TYPE {} gauge\n", p);
-    std::int64_t total = 0;
-    for (const auto& [sname, scope] : result.scopes) {
-      const auto it = scope.totals.gauges.find(name);
-      if (it == scope.totals.gauges.end()) continue;
-      total += it->second.value;
-      prom += fmt("{}{{scope=\"{}\"}} {}\n", p, obs::json_escape(sname),
-                  it->second.value);
-    }
-    prom += fmt("{} {}\n", p, total);
-  }
-  for (const std::string& name : hist_names) {
-    const std::string p = prom_name(name);
-    prom += fmt("# TYPE {} summary\n", p);
-    std::uint64_t count = 0;
-    double sum = 0;
-    for (const auto& [sname, scope] : result.scopes) {
-      const auto it = scope.totals.histograms.find(name);
-      if (it == scope.totals.histograms.end()) continue;
-      count += it->second.count;
-      sum += it->second.sum;
-      prom += fmt("{}_count{{scope=\"{}\"}} {}\n{}_sum{{scope=\"{}\"}} {}\n",
-                  p, obs::json_escape(sname), it->second.count, p,
-                  obs::json_escape(sname), obs::json_number(it->second.sum));
-    }
-    prom += fmt("{}_count {}\n{}_sum {}\n", p, count, p, obs::json_number(sum));
-  }
+  std::map<std::string, obs::MetricsSnapshot> totals;
+  for (const auto& [name, scope] : result.scopes) totals[name] = scope.totals;
+  result.prometheus = obs::prometheus_text(totals);
   return result;
 }
 

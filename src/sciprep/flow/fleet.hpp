@@ -1,17 +1,16 @@
-// Fleet-level telemetry federation (`sciprep.flow.fleet.v1`).
+// Fleet-level telemetry federation.
 //
 // A served fleet produces one metrics time-series per scope — a wire client
-// appending the per-tenant snapshot deltas it pulls from the server
-// (fleet.v1 lines, written by fleet_line()), or a rank's insight exporter
-// JSONL. merge_fleet() ingests N such series, normalizes both formats into
-// fleet.v1, orders the global series by timestamp, accumulates running
-// totals per scope, and emits an aggregated Prometheus text body with a
+// appending the per-tenant snapshot deltas it pulls from the server, or a
+// rank's insight exporter JSONL; both are `sciprep.flow.fleet.v1` lines
+// (obs::fleet_line). merge_fleet() ingests N such series, orders the global
+// series by timestamp, accumulates running totals per scope, and emits an
+// aggregated Prometheus text body (obs::prometheus_text) with a
 // {scope="..."} label per source plus an unlabelled fleet-wide sum.
 //
-// Every fleet.v1 line carries both cumulative totals and the delta since the
-// previous line, which makes the stream self-checking: reconciled means the
-// sum of a scope's deltas equals its last declared totals — i.e. the merged
-// view equals the per-tenant registry it came from, with no line lost.
+// Reconciled means the sum of a scope's deltas equals its last declared
+// totals — i.e. the merged view equals the per-tenant registry it came
+// from, with no line lost.
 #pragma once
 
 #include <cstdint>
@@ -23,18 +22,9 @@
 
 namespace sciprep::flow {
 
-inline constexpr const char* kFleetSchema = "sciprep.flow.fleet.v1";
-
-/// Render one fleet.v1 JSONL line (no trailing newline).
-/// `t_seconds` is seconds since the emitting process's run start.
-[[nodiscard]] std::string fleet_line(const std::string& scope,
-                                     std::uint64_t seq, double t_seconds,
-                                     const obs::MetricsSnapshot& totals,
-                                     const obs::MetricsSnapshot& delta);
-
-/// One input series: the full text of a JSONL file (fleet.v1 lines, insight
-/// exporter ticks, or a mix). `scope_hint` names lines that carry no scope
-/// of their own (exporter ticks from a pre-flow trainer).
+/// One input series: the full text of a fleet.v1 JSONL file. `scope_hint`
+/// names lines whose scope is empty (a whole-process exporter series);
+/// with no hint either, they land in the "default" scope.
 struct FleetInput {
   std::string scope_hint;
   std::string text;
@@ -52,7 +42,7 @@ struct FleetMergeResult {
   std::string merged_jsonl;  // global fleet.v1 series, time-ordered
   std::string prometheus;    // per-scope labelled + fleet-aggregate text
   std::uint64_t lines_parsed = 0;
-  std::uint64_t lines_skipped = 0;  // blank or unparseable lines
+  std::uint64_t lines_skipped = 0;  // unparseable or non-fleet.v1 lines
   bool reconciled = false;          // every scope reconciled
 
   [[nodiscard]] std::string summary_json() const;

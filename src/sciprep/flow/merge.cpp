@@ -6,7 +6,6 @@
 
 #include "sciprep/common/format.hpp"
 #include "sciprep/obs/json.hpp"
-#include "sciprep/perfscope/jsondom.hpp"
 
 namespace sciprep::flow {
 
@@ -32,8 +31,8 @@ struct LinkKey {
 LinkKey parse_link(const obs::TraceSpan& span, const char* id_field) {
   LinkKey key;
   if (span.args_json.empty()) return key;
-  perfscope::JsonValue doc;
-  if (!perfscope::json_parse(span.args_json, doc)) return key;
+  obs::JsonValue doc;
+  if (!obs::json_parse(span.args_json, doc)) return key;
   key.trace_id = static_cast<std::uint64_t>(doc.number_or("trace_id", 0));
   key.span_id = static_cast<std::uint64_t>(doc.number_or(id_field, 0));
   return key;

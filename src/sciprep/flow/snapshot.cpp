@@ -1,7 +1,5 @@
 #include "sciprep/flow/snapshot.hpp"
 
-#include <algorithm>
-
 namespace sciprep::flow {
 
 namespace {
@@ -83,47 +81,6 @@ obs::MetricsSnapshot decode_snapshot(ByteSpan data) {
     throw_format("snapshot payload has {} trailing bytes", r.remaining());
   }
   return snap;
-}
-
-obs::MetricsSnapshot snapshot_delta(const obs::MetricsSnapshot& current,
-                                    const obs::MetricsSnapshot& previous) {
-  obs::MetricsSnapshot delta;
-  for (const auto& [name, value] : current.counters) {
-    const auto it = previous.counters.find(name);
-    const std::uint64_t prev = it == previous.counters.end() ? 0 : it->second;
-    delta.counters[name] = value >= prev ? value - prev : value;
-  }
-  // Gauges are levels: the delta stream just carries the latest reading.
-  delta.gauges = current.gauges;
-  for (const auto& [name, h] : current.histograms) {
-    const auto it = previous.histograms.find(name);
-    obs::MetricsSnapshot::HistogramSummary d;
-    if (it == previous.histograms.end() || h.count < it->second.count) {
-      d = h;  // new metric, or the source registry was reset
-    } else {
-      d.count = h.count - it->second.count;
-      d.sum = h.sum - it->second.sum;
-    }
-    delta.histograms[name] = d;
-  }
-  return delta;
-}
-
-void snapshot_accumulate(obs::MetricsSnapshot& into,
-                         const obs::MetricsSnapshot& delta) {
-  for (const auto& [name, value] : delta.counters) {
-    into.counters[name] += value;
-  }
-  for (const auto& [name, g] : delta.gauges) {
-    auto& dst = into.gauges[name];
-    dst.value = g.value;
-    dst.high_watermark = std::max(dst.high_watermark, g.high_watermark);
-  }
-  for (const auto& [name, h] : delta.histograms) {
-    auto& dst = into.histograms[name];
-    dst.count += h.count;
-    dst.sum += h.sum;
-  }
 }
 
 }  // namespace sciprep::flow

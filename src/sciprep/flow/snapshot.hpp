@@ -1,14 +1,10 @@
-// Binary codec + delta algebra for obs::MetricsSnapshot.
+// Binary codec for obs::MetricsSnapshot, carried by wire STATS frames.
 //
 // Fleet federation ships per-tenant metric state over the wire as snapshot
-// *deltas*: the server diffs the tenant registry against what it last sent,
-// the client accumulates deltas back into running totals, and the two views
-// reconcile exactly because the algebra is exact —
-//
-//   accumulate(accumulate(zero, d1), d2) == snapshot      (counters, hists)
-//
-// Gauges are levels, not flows: a delta carries the current value and the
-// high-watermark, and accumulate() takes last-value / max-watermark.
+// *deltas* (obs::snapshot_delta): the server diffs the tenant registry
+// against what it last sent, the client accumulates deltas back into running
+// totals (obs::snapshot_accumulate), and the two views reconcile exactly
+// because the algebra is exact.
 //
 // The byte format is the usual little-endian field list over
 // ByteWriter/ByteReader with length-prefixed sections, so a hostile or
@@ -37,16 +33,5 @@ void encode_snapshot_into(ByteWriter& w, const obs::MetricsSnapshot& snap);
 /// FormatError on truncation, bad version, or a lying entry count.
 [[nodiscard]] obs::MetricsSnapshot decode_snapshot(ByteReader& r);
 [[nodiscard]] obs::MetricsSnapshot decode_snapshot(ByteSpan data);
-
-/// current - previous, per metric. Counters and histogram count/sum subtract
-/// (clamped at zero if a registry was reset mid-flight); gauges carry the
-/// current level/watermark through unchanged. Metrics absent from `previous`
-/// appear with their full current value.
-[[nodiscard]] obs::MetricsSnapshot snapshot_delta(
-    const obs::MetricsSnapshot& current, const obs::MetricsSnapshot& previous);
-
-/// Fold one delta into running totals (the inverse of snapshot_delta).
-void snapshot_accumulate(obs::MetricsSnapshot& into,
-                         const obs::MetricsSnapshot& delta);
 
 }  // namespace sciprep::flow

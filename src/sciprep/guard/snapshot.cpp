@@ -1,11 +1,11 @@
 #include "sciprep/guard/snapshot.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 
 #include "sciprep/common/crc.hpp"
 #include "sciprep/common/error.hpp"
+#include "sciprep/common/sysio.hpp"
 #include "sciprep/io/tfrecord.hpp"
 
 namespace sciprep::guard {
@@ -126,12 +126,7 @@ Snapshot Snapshot::parse(ByteSpan data) {
 }
 
 void write_snapshot(const std::string& path, const Snapshot& snapshot) {
-  const std::string tmp = path + ".tmp";
-  io::write_file(tmp, ByteSpan(snapshot.serialize()));
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw IoError(fmt("snapshot: cannot rename '{}' over '{}'", tmp, path));
-  }
+  sysio::write_file_atomic(path, ByteSpan(snapshot.serialize()));
 }
 
 Snapshot read_snapshot(const std::string& path) {

@@ -6,7 +6,7 @@
 #include <string_view>
 
 #include "sciprep/common/error.hpp"
-#include "sciprep/insight/internal.hpp"
+#include "sciprep/common/sysio.hpp"
 #include "sciprep/obs/json.hpp"
 
 namespace sciprep::insight {
@@ -349,7 +349,7 @@ std::string BottleneckReport::human_table() const {
 }
 
 void write_report(const std::string& path, const BottleneckReport& report) {
-  detail::write_file_atomic(path, report.to_json() + "\n");
+  sysio::write_file_atomic(path, as_bytes(report.to_json() + "\n"));
 }
 
 }  // namespace sciprep::insight

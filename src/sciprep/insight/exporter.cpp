@@ -1,13 +1,10 @@
 #include "sciprep/insight/exporter.hpp"
 
-#include <cstdio>
 #include <utility>
 
-#include "sciprep/common/error.hpp"
 #include "sciprep/common/log.hpp"
+#include "sciprep/common/sysio.hpp"
 #include "sciprep/common/threadpool.hpp"
-#include "sciprep/insight/internal.hpp"
-#include "sciprep/obs/json.hpp"
 
 namespace sciprep::insight {
 
@@ -34,26 +31,6 @@ void ContinuousExporter::tick_locked() {}
 
 #else
 
-namespace {
-
-using detail::append_file;
-using detail::write_file_atomic;
-
-/// Prometheus metric names allow [a-zA-Z0-9_:]; sciprep's dotted names map
-/// by replacing every other character with '_' and prefixing "sciprep_".
-std::string prom_name(const std::string& name) {
-  std::string out = "sciprep_";
-  out.reserve(out.size() + name.size());
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9');
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-}  // namespace
-
 void ContinuousExporter::start() {
   std::lock_guard lock(mutex_);
   if (running_) return;
@@ -61,7 +38,6 @@ void ContinuousExporter::start() {
   running_ = true;
   stopping_ = false;
   started_at_ = std::chrono::steady_clock::now();
-  last_tick_at_ = started_at_;
   // Baseline: the first tick's deltas cover exactly [start, first tick).
   last_ = metrics_->snapshot();
   thread_ = std::thread([this] { run(); });
@@ -89,7 +65,6 @@ void ContinuousExporter::tick() {
     if (ticks_.load(std::memory_order_relaxed) == 0 &&
         started_at_ == std::chrono::steady_clock::time_point{}) {
       started_at_ = std::chrono::steady_clock::now();
-      last_tick_at_ = started_at_;
       last_ = metrics_->snapshot();
     }
   }
@@ -114,79 +89,20 @@ void ContinuousExporter::tick_locked() {
   if (config_.pre_tick) config_.pre_tick();
   const auto now = std::chrono::steady_clock::now();
   const double t = std::chrono::duration<double>(now - started_at_).count();
-  const double dt = std::chrono::duration<double>(now - last_tick_at_).count();
   const obs::MetricsSnapshot snap = metrics_->snapshot();
 
   try {
     if (!config_.jsonl_path.empty()) {
-      std::string line;
-      line.reserve(1024);
-      line += fmt("{{\"t\":{},\"dt\":{},\"tick\":{},\"scope\":\"{}\","
-                  "\"counters\":{{",
-                  obs::json_number(t), obs::json_number(dt),
-                  ticks_.load(std::memory_order_relaxed),
-                  obs::json_escape(config_.scope));
-      bool first = true;
-      for (const auto& [name, total] : snap.counters) {
-        const auto it = last_.counters.find(name);
-        const std::uint64_t base = it != last_.counters.end() ? it->second : 0;
-        // reset() mid-run can make a counter go backwards; clamp the delta.
-        const std::uint64_t delta = total >= base ? total - base : total;
-        if (!first) line += ',';
-        first = false;
-        line += fmt("\"{}\":{{\"total\":{},\"delta\":{},\"rate\":{}}}",
-                    obs::json_escape(name), total, delta,
-                    obs::json_number(dt > 0 ? static_cast<double>(delta) / dt
-                                            : 0.0));
-      }
-      line += "},\"gauges\":{";
-      first = true;
-      for (const auto& [name, g] : snap.gauges) {
-        if (!first) line += ',';
-        first = false;
-        line += fmt("\"{}\":{{\"value\":{},\"high_watermark\":{}}}",
-                    obs::json_escape(name), g.value, g.high_watermark);
-      }
-      line += "},\"histograms\":{";
-      first = true;
-      for (const auto& [name, h] : snap.histograms) {
-        const auto it = last_.histograms.find(name);
-        const std::uint64_t base_count =
-            it != last_.histograms.end() ? it->second.count : 0;
-        const double base_sum = it != last_.histograms.end() ? it->second.sum : 0;
-        const std::uint64_t dcount =
-            h.count >= base_count ? h.count - base_count : h.count;
-        const double dsum = h.sum >= base_sum ? h.sum - base_sum : h.sum;
-        if (!first) line += ',';
-        first = false;
-        line += fmt(
-            "\"{}\":{{\"count\":{},\"sum\":{},\"count_delta\":{},"
-            "\"sum_delta\":{}}}",
-            obs::json_escape(name), h.count, obs::json_number(h.sum), dcount,
-            obs::json_number(dsum));
-      }
-      line += "}}\n";
-      append_file(config_.jsonl_path, line);
+      const std::string line =
+          obs::fleet_line(config_.scope, ticks_.load(std::memory_order_relaxed),
+                          t, snap, obs::snapshot_delta(snap, last_)) +
+          "\n";
+      sysio::append_file(config_.jsonl_path, as_bytes(line));
     }
-
     if (!config_.prom_path.empty()) {
-      std::string body;
-      body.reserve(1024);
-      for (const auto& [name, total] : snap.counters) {
-        const std::string p = prom_name(name);
-        body += fmt("# TYPE {} counter\n{} {}\n", p, p, total);
-      }
-      for (const auto& [name, g] : snap.gauges) {
-        const std::string p = prom_name(name);
-        body += fmt("# TYPE {} gauge\n{} {}\n", p, p, g.value);
-      }
-      for (const auto& [name, h] : snap.histograms) {
-        // count/sum pairs, the prometheus summary-metric core.
-        const std::string p = prom_name(name);
-        body += fmt("# TYPE {} summary\n{}_count {}\n{}_sum {}\n", p, p,
-                    h.count, p, obs::json_number(h.sum));
-      }
-      write_file_atomic(config_.prom_path, body);
+      sysio::write_file_atomic(
+          config_.prom_path,
+          as_bytes(obs::prometheus_text({{config_.scope, snap}})));
     }
   } catch (const std::exception& e) {
     // A failing disk must degrade telemetry, not the run it observes.
@@ -194,7 +110,6 @@ void ContinuousExporter::tick_locked() {
   }
 
   last_ = snap;
-  last_tick_at_ = now;
   ticks_.fetch_add(1, std::memory_order_relaxed);
   metrics_->counter("insight.export_ticks_total").add(1);
 }

@@ -1,12 +1,14 @@
 // Continuous metrics exporter (sciprep::insight).
 //
 // A background sampler that snapshots a MetricsRegistry every N ms and
-// appends one JSON object per tick to a JSONL time-series file, optionally
-// also rewriting a Prometheus-style text file with the latest values. The
-// exporter is delta-aware: every counter tick carries its since-last-tick
-// delta and per-second rate, so samples/s, bytes/s, and retries/s are
-// first-class series — the continuous view of preprocessing stalls the
-// post-hoc aggregate dump cannot give.
+// appends one `sciprep.flow.fleet.v1` line per tick (obs::fleet_line, seq =
+// tick number) to a JSONL time-series file, optionally also rewriting a
+// Prometheus-style text file (obs::prometheus_text) with the latest values.
+// The exporter is delta-aware: every counter carries its since-last-tick
+// delta (obs::snapshot_delta) next to its total, and every line its time
+// `t`, so samples/s, bytes/s, and retries/s are first-class series — the
+// continuous view of preprocessing stalls the post-hoc aggregate dump
+// cannot give.
 //
 // Threading mirrors the guard watchdog: the sampler thread starts lazily on
 // start(), wakes once per interval, and stop() (or destruction) joins it
@@ -34,7 +36,7 @@ namespace sciprep::insight {
 struct ExporterConfig {
   /// Sampling interval; values <= 0 fall back to 0.1 s.
   double interval_seconds = 0.1;
-  /// JSONL time-series path ("" disables). One JSON object per tick,
+  /// JSONL time-series path ("" disables). One fleet.v1 line per tick,
   /// appended — restartable runs accumulate in the same file.
   std::string jsonl_path;
   /// Prometheus text-format path ("" disables). Rewritten atomically
@@ -43,10 +45,11 @@ struct ExporterConfig {
   /// Registry to sample; null means obs::MetricsRegistry::global(). Must
   /// outlive the exporter.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Scope label stamped into every JSONL tick ("tenant/<name>", "rank<N>",
-  /// "" for a whole-process series). flow::merge_fleet() keys federated
-  /// series by this field, so per-tenant exports from different processes
-  /// stay distinguishable after they are merged into one file.
+  /// Scope stamped into every JSONL tick and used as the Prometheus
+  /// {scope="..."} label ("tenant/<name>", "rank<N>", "" for a whole-process
+  /// series). flow::merge_fleet() keys federated series by this field, so
+  /// per-tenant exports from different processes stay distinguishable after
+  /// they are merged into one file.
   std::string scope;
   /// Called at the start of every tick, before the registry snapshot — the
   /// hook by which slow-changing sources (e.g. perfscope's ResourceSampler)
@@ -72,7 +75,7 @@ class ContinuousExporter {
   /// and join. Idempotent.
   void stop();
 
-  /// Take one sample right now (tick number, delta, rates, file writes) —
+  /// Take one sample right now (tick number, deltas, file writes) —
   /// the deterministic entry point tests drive without the thread.
   void tick();
 
@@ -94,7 +97,6 @@ class ContinuousExporter {
 
   obs::MetricsSnapshot last_;  // previous tick's snapshot (delta base)
   std::chrono::steady_clock::time_point started_at_{};
-  std::chrono::steady_clock::time_point last_tick_at_{};
   std::atomic<std::uint64_t> ticks_{0};
 };
 

@@ -8,8 +8,8 @@
 
 #include "sciprep/common/error.hpp"
 #include "sciprep/common/log.hpp"
+#include "sciprep/common/sysio.hpp"
 #include "sciprep/common/threadpool.hpp"
-#include "sciprep/insight/internal.hpp"
 #include "sciprep/obs/json.hpp"
 
 namespace sciprep::insight {
@@ -175,7 +175,7 @@ void FlightRecorder::dump_locked(const LoggedEvent& logged) {
   const std::string path =
       fmt("{}/incident-{}-{}.json", config_.dir, written_,
           fault::event_kind_name(logged.event.kind));
-  detail::write_file_atomic(path, body);
+  sysio::write_file_atomic(path, as_bytes(body));
 }
 
 #endif  // SCIPREP_OBS_DISABLED

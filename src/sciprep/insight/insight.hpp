@@ -5,8 +5,8 @@
 // sciprep::fault (recovery events), and sciprep::guard (watchdog expiries):
 //
 //   * ContinuousExporter (exporter.hpp) — background sampler turning the
-//     metrics registry into a JSONL time-series with first-class rates and a
-//     Prometheus-style text file.
+//     metrics registry into a fleet.v1 JSONL time-series of totals and
+//     deltas and a Prometheus-style text file.
 //   * analyze_critical_path (analyze.hpp) — per-stage occupancy, prefetch-
 //     stall attribution, Amdahl-style what-if speedups, and a ranked
 //     BottleneckReport naming the dominant stage.

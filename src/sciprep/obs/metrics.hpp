@@ -7,7 +7,8 @@
 // metric once and then pay one relaxed atomic per event.
 //
 // Dump formats: to_json() (machine-readable, valid JSON — NaN becomes null)
-// and human_dump() (aligned table for terminals). The process-wide
+// and human_dump() (aligned table for terminals); MetricsSnapshot series
+// render as fleet.v1 JSONL lines and Prometheus text. The process-wide
 // MetricsRegistry::global() also mirrors the log layer's warn/error counts
 // as log.warnings_total / log.errors_total.
 #pragma once
@@ -17,6 +18,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "sciprep/common/stats.hpp"
 #include "sciprep/common/threadpool.hpp"
@@ -125,6 +127,60 @@ struct MetricsSnapshot {
   std::map<std::string, GaugeValue> gauges;
   std::map<std::string, HistogramSummary> histograms;
 };
+
+/// current - previous, per metric. Counters and histogram count/sum subtract
+/// (a counter clamps to its current value if the registry was reset
+/// mid-flight; a histogram whose count went backwards restarts from its
+/// current summary); gauges carry the current level/watermark through
+/// unchanged. Metrics absent from `previous` appear with their full current
+/// value. The algebra is exact:
+///
+///   accumulate(accumulate(zero, d1), d2) == snapshot   (counters, hists)
+[[nodiscard]] MetricsSnapshot snapshot_delta(const MetricsSnapshot& current,
+                                             const MetricsSnapshot& previous);
+
+/// Fold one delta into running totals (the inverse of snapshot_delta).
+/// Gauges are levels: last value wins, high-watermarks take the max.
+void snapshot_accumulate(MetricsSnapshot& into, const MetricsSnapshot& delta);
+
+// --- Metrics time-series (`sciprep.flow.fleet.v1`) -------------------------
+//
+// The one JSONL series format: the insight exporter's ticks, a traced wire
+// client's pulled per-tenant deltas, and fleetview's merged output are all
+// fleet.v1 lines. Every line carries both cumulative totals and the delta
+// since the previous line of its scope, which makes a series self-checking:
+// the sum of a scope's deltas must equal its last declared totals.
+
+inline constexpr const char* kFleetSchema = "sciprep.flow.fleet.v1";
+
+/// One parsed fleet.v1 line. `scope` names the series ("tenant/<name>",
+/// "rank<N>", "" for a whole-process series); `t` is seconds since the
+/// emitting process's run start.
+struct FleetLine {
+  std::string scope;
+  double t = 0;
+  MetricsSnapshot totals;
+  MetricsSnapshot delta;
+};
+
+/// Render one fleet.v1 JSONL line (no trailing newline); `seq` numbers the
+/// line within its series.
+[[nodiscard]] std::string fleet_line(const std::string& scope,
+                                     std::uint64_t seq, double t_seconds,
+                                     const MetricsSnapshot& totals,
+                                     const MetricsSnapshot& delta);
+
+/// Parse one fleet.v1 line; false for invalid JSON or any other schema.
+[[nodiscard]] bool parse_fleet_line(std::string_view text, FleetLine& out);
+
+/// Prometheus text body over named scopes: per metric a TYPE line, one
+/// {scope="..."} labelled sample per scope that has it, and the unlabelled
+/// sum across scopes. A scope named "" contributes only to the sum, so a
+/// single unnamed scope renders plain unlabelled samples. Names map onto
+/// [a-zA-Z0-9_] with a "sciprep_" prefix; histograms render as summary
+/// _count/_sum pairs.
+[[nodiscard]] std::string prometheus_text(
+    const std::map<std::string, MetricsSnapshot>& scopes);
 
 class MetricsRegistry {
  public:

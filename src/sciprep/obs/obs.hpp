@@ -1,7 +1,8 @@
 // sciprep::obs — unified tracing, metrics, and profiling layer.
 //
 // Umbrella header: pulls in the span tracer (trace.hpp), the metrics
-// registry (metrics.hpp), and JSON helpers (json.hpp), and defines the
+// registry and its series formats (metrics.hpp), and the JSON writers and
+// reader (json.hpp), and defines the
 // instrumentation macros the hot paths use:
 //
 //   SCIPREP_OBS_SPAN("codec.cosmo.decode_cpu", "codec");
@@ -14,8 +15,9 @@
 //
 // Building with -DSCIPREP_OBS_DISABLED (CMake option SCIPREP_OBS_DISABLED)
 // compiles the macros away entirely, so instrumented hot paths carry zero
-// overhead — bench_obs_overhead measures the residual cost of the default
-// build (a runtime-disabled tracer costs one relaxed atomic load per span).
+// overhead — perfbench's obs_overhead probe measures the residual cost of the
+// default build (a runtime-disabled tracer costs one relaxed atomic load per
+// span).
 // Registry objects used directly (e.g. the pipeline's per-stage stats, which
 // back PipelineStats) are not affected by the switch.
 #pragma once

@@ -8,7 +8,7 @@
 #include "sciprep/common/buffer.hpp"
 #include "sciprep/common/crc.hpp"
 #include "sciprep/common/format.hpp"
-#include "sciprep/insight/internal.hpp"
+#include "sciprep/common/sysio.hpp"
 #include "sciprep/obs/json.hpp"
 
 namespace sciprep::perfscope {
@@ -86,7 +86,7 @@ std::string bench_record_to_json(const BenchRecord& record) {
   return out;
 }
 
-bool bench_record_from_json(const JsonValue& doc, BenchRecord& out) {
+bool bench_record_from_json(const obs::JsonValue& doc, BenchRecord& out) {
   if (!doc.is_object()) return false;
   if (doc.string_or("schema", "") != kBenchSchema) return false;
   out = BenchRecord{};
@@ -96,7 +96,7 @@ bool bench_record_from_json(const JsonValue& doc, BenchRecord& out) {
   out.sim_charged_seconds = doc.number_or("sim_charged_seconds", 0);
   out.config = doc.string_or("config", "");
   out.config_fingerprint = doc.string_or("config_fingerprint", "");
-  const JsonValue& res = doc.at("resources");
+  const obs::JsonValue& res = doc.at("resources");
   if (res.is_object()) {
     out.has_resources = true;
     out.resources.ok = res.at("ok").as_bool(false);
@@ -115,7 +115,7 @@ bool bench_record_from_json(const JsonValue& doc, BenchRecord& out) {
     out.resources.io_write_bytes = u64("io_write_bytes");
     out.resources.threads = u64("threads");
   }
-  for (const JsonValue& m : doc.at("metrics").as_array()) {
+  for (const obs::JsonValue& m : doc.at("metrics").as_array()) {
     BenchMetric metric;
     metric.name = m.string_or("name", "");
     if (metric.name.empty()) return false;
@@ -187,7 +187,7 @@ std::string BenchReporter::to_json() const {
 }
 
 void BenchReporter::write(const std::string& path) const {
-  insight::detail::write_file_atomic(path, to_json() + "\n");
+  sysio::write_file_atomic(path, as_bytes(to_json() + "\n"));
 }
 
 }  // namespace sciprep::perfscope

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "sciprep/insight/analyze.hpp"
-#include "sciprep/perfscope/jsondom.hpp"
+#include "sciprep/obs/json.hpp"
 #include "sciprep/perfscope/resource.hpp"
 
 namespace sciprep::perfscope {
@@ -80,7 +80,7 @@ struct BenchRecord {
 
 /// Parse a v1 document (as produced above) back into a record. Returns false
 /// on schema mismatch or missing required fields.
-[[nodiscard]] bool bench_record_from_json(const JsonValue& doc,
+[[nodiscard]] bool bench_record_from_json(const obs::JsonValue& doc,
                                           BenchRecord& out);
 
 /// Builder used by the bench binaries: construct, add metrics as the bench

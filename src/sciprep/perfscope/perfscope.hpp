@@ -13,12 +13,9 @@
 //     appends to.
 //   * compare_* (compare.hpp) — the median+MAD regression gate behind
 //     perfcompare and the perf_regression_smoke ctest.
-//   * JsonValue (jsondom.hpp) — the strict little DOM parser the readers
-//     share.
 #pragma once
 
 #include "sciprep/perfscope/benchreport.hpp"
 #include "sciprep/perfscope/compare.hpp"
-#include "sciprep/perfscope/jsondom.hpp"
 #include "sciprep/perfscope/resource.hpp"
 #include "sciprep/perfscope/trajectory.hpp"

@@ -6,7 +6,6 @@
 #include "sciprep/common/error.hpp"
 #include "sciprep/common/format.hpp"
 #include "sciprep/common/sysio.hpp"
-#include "sciprep/insight/internal.hpp"
 #include "sciprep/obs/json.hpp"
 
 namespace sciprep::perfscope {
@@ -29,10 +28,10 @@ bool load_trajectory(const std::string& path, Trajectory& out) {
   out = Trajectory{};
   std::string text;
   if (!read_file(path, text)) return false;
-  JsonValue doc;
-  if (!json_parse(text, doc)) return false;
+  obs::JsonValue doc;
+  if (!obs::json_parse(text, doc)) return false;
   if (doc.string_or("schema", "") != kTrajectorySchema) return false;
-  for (const JsonValue& run_doc : doc.at("runs").as_array()) {
+  for (const obs::JsonValue& run_doc : doc.at("runs").as_array()) {
     BenchRun run;
     run.run_index = static_cast<std::uint64_t>(run_doc.number_or("run", 0));
     run.unix_time =
@@ -86,7 +85,7 @@ std::string trajectory_to_json(const Trajectory& trajectory) {
 }
 
 void save_trajectory(const std::string& path, const Trajectory& trajectory) {
-  insight::detail::write_file_atomic(path, trajectory_to_json(trajectory));
+  sysio::write_file_atomic(path, as_bytes(trajectory_to_json(trajectory)));
 }
 
 }  // namespace sciprep::perfscope

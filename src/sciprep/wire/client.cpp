@@ -11,7 +11,6 @@
 #include "sciprep/common/error.hpp"
 #include "sciprep/common/log.hpp"
 #include "sciprep/flow/merge.hpp"
-#include "sciprep/flow/snapshot.hpp"
 
 namespace sciprep::wire {
 
@@ -343,7 +342,7 @@ StatsPayload WireClient::pull_server_stats() {
         fmt("wire: expected STATS, got {}", frame_type_name(reply.type)));
   }
   StatsPayload payload = StatsPayload::decode(reply.payload);
-  flow::snapshot_accumulate(server_totals_, payload.delta);
+  obs::snapshot_accumulate(server_totals_, payload.delta);
   server_scope_ = payload.scope;
   stats_pulls_ += 1;
   return payload;

@@ -10,7 +10,6 @@
 #include "sciprep/common/error.hpp"
 #include "sciprep/common/log.hpp"
 #include "sciprep/flow/merge.hpp"
-#include "sciprep/flow/snapshot.hpp"
 #include "sciprep/obs/trace.hpp"
 
 namespace sciprep::wire {
@@ -680,7 +679,7 @@ void WireServer::handle_stats(const Socket& conn,
   // activity, not to registry size history.
   const obs::MetricsSnapshot current =
       service_.tenant_snapshot(session->session);
-  reply.delta = flow::snapshot_delta(current, session->stats_sent);
+  reply.delta = obs::snapshot_delta(current, session->stats_sent);
   session->stats_sent = current;
   send_frame(conn, Frame{FrameType::kStats, 0, reply.encode()});
   frames_sent_.add(1);

@@ -171,15 +171,15 @@ TEST(FlowSnapshot, DeltaThenAccumulateReconstructsTheTotals) {
   t2.histograms["stage.decode_seconds"].count += 8;
   t2.histograms["stage.decode_seconds"].sum += 0.25;
 
-  const obs::MetricsSnapshot d1 = flow::snapshot_delta(t1, t0);
-  const obs::MetricsSnapshot d2 = flow::snapshot_delta(t2, t1);
+  const obs::MetricsSnapshot d1 = obs::snapshot_delta(t1, t0);
+  const obs::MetricsSnapshot d2 = obs::snapshot_delta(t2, t1);
   EXPECT_EQ(d2.counters.at("pipeline.samples_total"), 512u);
   EXPECT_EQ(d2.counters.at("new.counter"), 7u);
   EXPECT_EQ(d2.histograms.at("stage.decode_seconds").count, 8u);
 
   obs::MetricsSnapshot acc;
-  flow::snapshot_accumulate(acc, d1);
-  flow::snapshot_accumulate(acc, d2);
+  obs::snapshot_accumulate(acc, d1);
+  obs::snapshot_accumulate(acc, d2);
   EXPECT_EQ(acc.counters, t2.counters);
   // Gauges are levels: accumulate keeps last value / max watermark.
   EXPECT_EQ(acc.gauges.at("serve.queue_depth").value, 1);
@@ -245,9 +245,9 @@ TEST(FlowFleet, MultiScopeSeriesMergeAndReconcile) {
     obs::MetricsSnapshot t2 = t1;
     t2.counters["pipeline.samples_total"] += 128;
     std::string text;
-    text += flow::fleet_line(scope, 0, 1.0, t1, flow::snapshot_delta(t1, zero));
+    text += obs::fleet_line(scope, 0, 1.0, t1, obs::snapshot_delta(t1, zero));
     text += '\n';
-    text += flow::fleet_line(scope, 1, 2.0, t2, flow::snapshot_delta(t2, t1));
+    text += obs::fleet_line(scope, 1, 2.0, t2, obs::snapshot_delta(t2, t1));
     text += '\n';
     return text;
   };
@@ -288,11 +288,12 @@ TEST(FlowFleet, MultiScopeSeriesMergeAndReconcile) {
 }
 
 TEST(FlowFleet, ScopeHintLabelsExporterStyleLines) {
-  // An insight exporter tick carries no schema/scope of its own; the hint
+  // A whole-process insight exporter tick carries an empty scope; the hint
   // names it. The tick's totals double as the delta, so a single line
   // trivially reconciles.
   const std::string tick =
-      "{\"t\":3.5,\"counters\":{\"pipeline.samples_total\":{\"total\":640,"
+      "{\"schema\":\"sciprep.flow.fleet.v1\",\"scope\":\"\",\"seq\":0,"
+      "\"t\":3.5,\"counters\":{\"pipeline.samples_total\":{\"total\":640,"
       "\"delta\":640}},\"gauges\":{},\"histograms\":{}}\n";
   const flow::FleetMergeResult merged = flow::merge_fleet({{"rank0", tick}});
   EXPECT_EQ(merged.lines_parsed, 1u);
@@ -302,7 +303,7 @@ TEST(FlowFleet, ScopeHintLabelsExporterStyleLines) {
                 "pipeline.samples_total"),
             640u);
 
-  // No hint and no scope in the line -> the "default" bucket.
+  // No hint and an empty scope in the line -> the "default" bucket.
   const flow::FleetMergeResult unhinted = flow::merge_fleet({{"", tick}});
   EXPECT_EQ(unhinted.scopes.count("default"), 1u);
 }
@@ -315,9 +316,9 @@ TEST(FlowFleet, CorruptLinesSkipAndALostDeltaBreaksReconciliation) {
   t2.counters["c"] = 250;
 
   const std::string l1 =
-      flow::fleet_line("tenant/x", 0, 1.0, t1, flow::snapshot_delta(t1, zero));
+      obs::fleet_line("tenant/x", 0, 1.0, t1, obs::snapshot_delta(t1, zero));
   const std::string l2 =
-      flow::fleet_line("tenant/x", 1, 2.0, t2, flow::snapshot_delta(t2, t1));
+      obs::fleet_line("tenant/x", 1, 2.0, t2, obs::snapshot_delta(t2, t1));
 
   // Garbage and unrelated JSONL streams are skipped, not fatal.
   const std::string with_noise =

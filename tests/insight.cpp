@@ -1,9 +1,9 @@
 // Tests for sciprep::insight — the critical-path analyzer (synthetic stage
 // mixes with a known dominant stage, the occupancy-sum property, span-vs-
 // histogram drift detection, the unattributed-histogram audit), the
-// continuous exporter (tick deltas, rates, final-flush-on-stop), and the
-// flight recorder (parseable incident dumps, rate limiting with the
-// first-of-kind bypass, the incident cap).
+// continuous exporter (tick deltas, final-flush-on-stop, its series merging
+// into a reconciled fleet view), and the flight recorder (parseable incident
+// dumps, rate limiting with the first-of-kind bypass, the incident cap).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sciprep/fault/fault.hpp"
+#include "sciprep/flow/fleet.hpp"
 #include "sciprep/insight/insight.hpp"
 #include "sciprep/obs/json.hpp"
 #include "sciprep/obs/metrics.hpp"
@@ -277,9 +278,14 @@ TEST(Exporter, ManualTicksCarryDeltasAndRates) {
             std::string::npos)
       << lines[1];
   EXPECT_NE(lines[1].find("\"count_delta\":1"), std::string::npos) << lines[1];
-  // Non-zero interval + non-zero delta → a positive rate was exported.
-  EXPECT_NE(lines[1].find("\"rate\":"), std::string::npos);
-  EXPECT_EQ(lines[1].find("\"rate\":-"), std::string::npos);
+  // Rates are derived by readers: the second tick carries the delta and a
+  // later timestamp than the first.
+  obs::FleetLine first;
+  obs::FleetLine second;
+  ASSERT_TRUE(obs::parse_fleet_line(lines[0], first)) << lines[0];
+  ASSERT_TRUE(obs::parse_fleet_line(lines[1], second)) << lines[1];
+  EXPECT_EQ(second.delta.counters.at("work.items_total"), 5u);
+  EXPECT_GT(second.t, first.t);
 
   const std::string prom = read_all(cfg.prom_path);
   EXPECT_NE(prom.find("# TYPE sciprep_work_items_total counter"),
@@ -309,6 +315,44 @@ TEST(Exporter, StopFlushesTheFinalPartialInterval) {
       << series;
   exporter.stop();  // idempotent
   EXPECT_EQ(exporter.ticks_total(), 1u);
+}
+
+TEST(Exporter, SeriesMergesIntoAReconciledFleetView) {
+  const std::string dir = scratch_dir("exporter_fleet");
+  obs::MetricsRegistry reg;
+  ExporterConfig cfg;
+  cfg.jsonl_path = dir + "/series.jsonl";
+  cfg.prom_path = dir + "/metrics.prom";
+  cfg.metrics = &reg;
+  ContinuousExporter exporter(cfg);
+
+  // Baseline on the empty registry, so the summed deltas cover everything.
+  exporter.tick();
+  reg.counter("work.items_total").add(10);
+  reg.histogram("work.latency_seconds").record(0.5);
+  exporter.tick();
+  reg.counter("work.items_total").add(5);
+  reg.histogram("work.latency_seconds").record(0.25);
+  exporter.tick();
+
+  const flow::FleetMergeResult merged =
+      flow::merge_fleet({{"", read_all(cfg.jsonl_path)}});
+  EXPECT_EQ(merged.lines_parsed, 3u);
+  EXPECT_EQ(merged.lines_skipped, 0u);
+  ASSERT_EQ(merged.scopes.count("default"), 1u);
+  EXPECT_TRUE(merged.reconciled);
+
+  // The exporter's unlabelled totals survive the merge.
+  EXPECT_NE(merged.prometheus.find("\nsciprep_work_items_total 15\n"),
+            std::string::npos)
+      << merged.prometheus;
+  EXPECT_NE(merged.prometheus.find("\nsciprep_work_latency_seconds_count 2\n"),
+            std::string::npos)
+      << merged.prometheus;
+  std::istringstream prom(read_all(cfg.prom_path));
+  for (std::string line; std::getline(prom, line);) {
+    EXPECT_NE(merged.prometheus.find(line + "\n"), std::string::npos) << line;
+  }
 }
 
 // --- Flight recorder -------------------------------------------------------

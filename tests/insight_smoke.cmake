@@ -9,7 +9,7 @@
 #   * the report parses, names io.read as the dominant stage, attributes
 #     every pipeline.stage.* histogram, and its io.read busy-seconds agree
 #     with the pipeline.stage.io_read_seconds histogram sum;
-#   * every JSONL tick parses and at least one shows a non-zero retry rate;
+#   * every JSONL tick parses and at least one shows a non-zero retry delta;
 #   * a deadline-expiry incident file exists, parses, embeds spans, and
 #     carries this run's config fingerprint.
 #

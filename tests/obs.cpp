@@ -1,5 +1,5 @@
-// Tests for sciprep::obs — span tracer, metrics registry, JSON helpers, and
-// the ThreadPool/log wiring.
+// Tests for sciprep::obs — span tracer, metrics registry, JSON writers and
+// the JSON document reader, and the ThreadPool/log wiring.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -46,6 +46,68 @@ TEST(JsonValid, RejectsMalformedDocuments) {
   EXPECT_FALSE(json_valid("[1,]"));
   EXPECT_FALSE(json_valid("{} trailing"));
   EXPECT_FALSE(json_valid("nan"));
+}
+
+TEST(JsonDom, ParsesScalarsAndNesting) {
+  JsonValue doc;
+  ASSERT_TRUE(json_parse(
+      R"({"a":1.5,"b":"text","c":true,"d":null,"e":[1,2,3],"f":{"g":-2e3}})",
+      doc));
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_DOUBLE_EQ(doc.number_or("a", 0), 1.5);
+  EXPECT_EQ(doc.string_or("b", ""), "text");
+  EXPECT_TRUE(doc.at("c").as_bool());
+  EXPECT_TRUE(doc.at("d").is_null());
+  ASSERT_TRUE(doc.at("e").is_array());
+  ASSERT_EQ(doc.at("e").as_array().size(), 3u);
+  EXPECT_DOUBLE_EQ(doc.at("e").as_array()[1].as_number(), 2.0);
+  EXPECT_DOUBLE_EQ(doc.at("f").number_or("g", 0), -2000.0);
+}
+
+TEST(JsonDom, ParsesStringEscapes) {
+  JsonValue doc;
+  ASSERT_TRUE(json_parse(R"({"s":"a\"b\\c\nd\tuA"})", doc));
+  EXPECT_EQ(doc.string_or("s", ""), "a\"b\\c\nd\tuA");
+}
+
+TEST(JsonDom, RejectsMalformedDocuments) {
+  JsonValue doc;
+  EXPECT_FALSE(json_parse("", doc));
+  EXPECT_FALSE(json_parse("{", doc));
+  EXPECT_FALSE(json_parse("{\"a\":}", doc));
+  EXPECT_FALSE(json_parse("[1,2,]", doc));
+  EXPECT_FALSE(json_parse("{} trailing", doc));
+  EXPECT_FALSE(json_parse("{'single':1}", doc));
+}
+
+TEST(JsonDom, MissingKeysDegradeToFallbacks) {
+  JsonValue doc;
+  ASSERT_TRUE(json_parse(R"({"x":1})", doc));
+  EXPECT_FALSE(doc.has("y"));
+  EXPECT_TRUE(doc.at("y").is_null());
+  EXPECT_DOUBLE_EQ(doc.number_or("y", 7.0), 7.0);
+  EXPECT_EQ(doc.string_or("y", "fb"), "fb");
+  // Wrong-kind access degrades the same way.
+  EXPECT_DOUBLE_EQ(doc.at("x").as_array().size(), 0u);
+}
+
+TEST(JsonDom, NestingIsLimitedToTheMaxDepth) {
+  auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  JsonValue doc;
+  EXPECT_TRUE(json_parse(nested(kJsonMaxDepth), doc));
+  EXPECT_FALSE(json_parse(nested(kJsonMaxDepth + 1), doc));
+  EXPECT_TRUE(json_valid(nested(kJsonMaxDepth)));
+  EXPECT_FALSE(json_valid(nested(kJsonMaxDepth + 1)));
+
+  // Objects count toward the same limit.
+  std::string objects;
+  for (int i = 0; i < kJsonMaxDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(static_cast<std::size_t>(kJsonMaxDepth), '}');
+  EXPECT_TRUE(json_parse(objects, doc));
+  EXPECT_FALSE(json_parse("[" + objects + "]", doc));
 }
 
 // --- Tracer ----------------------------------------------------------------

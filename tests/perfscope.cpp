@@ -1,5 +1,5 @@
-// sciprep::perfscope unit tests (ctest -L perf): the JSON document model,
-// bench-record serialization roundtrips, host resource sampling invariants,
+// sciprep::perfscope unit tests (ctest -L perf): bench-record
+// serialization roundtrips, host resource sampling invariants,
 // trajectory persistence, and the noise-aware comparison verdicts.
 #include <gtest/gtest.h>
 
@@ -21,51 +21,6 @@ std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() /
           ("sciprep_perfscope_test_" + name))
       .string();
-}
-
-// ---------------------------------------------------------------- jsondom --
-
-TEST(JsonDom, ParsesScalarsAndNesting) {
-  JsonValue doc;
-  ASSERT_TRUE(json_parse(
-      R"({"a":1.5,"b":"text","c":true,"d":null,"e":[1,2,3],"f":{"g":-2e3}})",
-      doc));
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_DOUBLE_EQ(doc.number_or("a", 0), 1.5);
-  EXPECT_EQ(doc.string_or("b", ""), "text");
-  EXPECT_TRUE(doc.at("c").as_bool());
-  EXPECT_TRUE(doc.at("d").is_null());
-  ASSERT_TRUE(doc.at("e").is_array());
-  ASSERT_EQ(doc.at("e").as_array().size(), 3u);
-  EXPECT_DOUBLE_EQ(doc.at("e").as_array()[1].as_number(), 2.0);
-  EXPECT_DOUBLE_EQ(doc.at("f").number_or("g", 0), -2000.0);
-}
-
-TEST(JsonDom, ParsesStringEscapes) {
-  JsonValue doc;
-  ASSERT_TRUE(json_parse(R"({"s":"a\"b\\c\nd\tuA"})", doc));
-  EXPECT_EQ(doc.string_or("s", ""), "a\"b\\c\nd\tuA");
-}
-
-TEST(JsonDom, RejectsMalformedDocuments) {
-  JsonValue doc;
-  EXPECT_FALSE(json_parse("", doc));
-  EXPECT_FALSE(json_parse("{", doc));
-  EXPECT_FALSE(json_parse("{\"a\":}", doc));
-  EXPECT_FALSE(json_parse("[1,2,]", doc));
-  EXPECT_FALSE(json_parse("{} trailing", doc));
-  EXPECT_FALSE(json_parse("{'single':1}", doc));
-}
-
-TEST(JsonDom, MissingKeysDegradeToFallbacks) {
-  JsonValue doc;
-  ASSERT_TRUE(json_parse(R"({"x":1})", doc));
-  EXPECT_FALSE(doc.has("y"));
-  EXPECT_TRUE(doc.at("y").is_null());
-  EXPECT_DOUBLE_EQ(doc.number_or("y", 7.0), 7.0);
-  EXPECT_EQ(doc.string_or("y", "fb"), "fb");
-  // Wrong-kind access degrades the same way.
-  EXPECT_DOUBLE_EQ(doc.at("x").as_array().size(), 0u);
 }
 
 // ----------------------------------------------------------- bench record --
@@ -92,8 +47,8 @@ TEST(BenchReport, EmitsValidSchemaTaggedJson) {
 
 TEST(BenchReport, RoundTripsThroughTheDom) {
   const BenchReporter reporter = make_reporter();
-  JsonValue doc;
-  ASSERT_TRUE(json_parse(reporter.to_json(), doc));
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::json_parse(reporter.to_json(), doc));
   BenchRecord parsed;
   ASSERT_TRUE(bench_record_from_json(doc, parsed));
 
@@ -115,8 +70,9 @@ TEST(BenchReport, RoundTripsThroughTheDom) {
 }
 
 TEST(BenchReport, FromJsonRejectsWrongSchema) {
-  JsonValue doc;
-  ASSERT_TRUE(json_parse(R"({"schema":"something.else.v9","bench":"x"})", doc));
+  obs::JsonValue doc;
+  ASSERT_TRUE(
+      obs::json_parse(R"({"schema":"something.else.v9","bench":"x"})", doc));
   BenchRecord parsed;
   EXPECT_FALSE(bench_record_from_json(doc, parsed));
 }
