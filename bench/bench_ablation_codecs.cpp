@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   using namespace sciprep;
   const auto args = benchutil::parse_bench_args(argc, argv);
   const int dim = args.pos_int(0, 64);
-  perfscope::BenchReporter reporter("ablation_codecs");
+  apps::BenchReporter reporter("ablation_codecs");
   reporter.set_config(fmt("dim={}", dim));
 
   benchutil::print_header("Ablation — CosmoFlow codec design choices");
@@ -82,10 +82,9 @@ int main(int argc, char** argv) {
         "%.2f ms (%.1fx)\n",
         plugin_dec, full_prep, full_prep / plugin_dec);
     reporter.add_metric("cosmo.decode_ms.fused", plugin_dec, "ms", "measured",
-                        /*better_higher=*/false, /*noise_floor=*/0.05);
+                        /*better_higher=*/false);
     reporter.add_metric("cosmo.fused_log1p_speedup", full_prep / plugin_dec,
-                        "x", "measured", /*better_higher=*/true,
-                        /*noise_floor=*/1.0);
+                        "x", "measured", /*better_higher=*/true);
   }
 
   benchutil::print_header("Ablation — DeepCAM codec design choices");
@@ -152,7 +151,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(g1.lifetime_stats().divergent_branches),
         static_cast<unsigned long long>(g2.lifetime_stats().divergent_branches));
     reporter.add_metric("cam.decode_ms.chw", t_chw, "ms", "measured",
-                        /*better_higher=*/false, /*noise_floor=*/0.5);
+                        /*better_higher=*/false);
   }
   benchutil::finish(args, reporter);
   return 0;

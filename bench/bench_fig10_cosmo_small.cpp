@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using apps::LoaderConfig;
   const auto args = benchutil::parse_bench_args(argc, argv);
   const int dim = args.pos_int(0, 128);
-  perfscope::BenchReporter reporter("fig10_cosmo_small");
+  apps::BenchReporter reporter("fig10_cosmo_small");
   reporter.set_config(fmt("dim={}", dim));
 
   benchutil::print_header(

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace sciprep;
   using apps::LoaderConfig;
   const auto args = benchutil::parse_bench_args(argc, argv);
-  perfscope::BenchReporter reporter("fig12_cosmo_breakdown");
+  apps::BenchReporter reporter("fig12_cosmo_breakdown");
   reporter.set_config("small-set batch=4");
 
   benchutil::print_header(
@@ -72,8 +72,7 @@ int main(int argc, char** argv) {
   reporter.add_metric("step_seconds.cori_v100.plugin", b_plug.step_seconds(),
                       "seconds", "modeled", /*better_higher=*/false);
   reporter.add_metric("decode_fraction.plugin", decode_pct / 100.0,
-                      "fraction", "measured", /*better_higher=*/false,
-                      /*noise_floor=*/0.01);
+                      "fraction", "measured", /*better_higher=*/false);
   reporter.charge_sim_seconds(b_base.step_seconds() + b_plug.step_seconds());
   benchutil::finish(args, reporter);
   return 0;

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const auto args = benchutil::parse_bench_args(argc, argv);
   const int dim = args.pos_int(0, 128);
   const int nsamples = args.pos_int(1, 4);
-  perfscope::BenchReporter reporter("fig5_cosmo_stats");
+  apps::BenchReporter reporter("fig5_cosmo_stats");
   reporter.set_config(fmt("dim={} nsamples={}", dim, nsamples));
 
   data::CosmoGenConfig cfg;
@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
                       static_cast<double>(unique0.size()), "count",
                       "measured");
   reporter.add_metric("power_law_slope.sample0", freq.power_law_slope(64),
-                      "slope", "measured", /*better_higher=*/false,
-                      /*noise_floor=*/0.5);
+                      "slope", "measured", /*better_higher=*/false);
   benchutil::finish(args, reporter);
   return 0;
 }

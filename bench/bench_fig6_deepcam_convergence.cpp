@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const auto args = benchutil::parse_bench_args(argc, argv);
   const int nsamples = args.pos_int(0, 24);
   const int epochs = args.pos_int(1, 6);
-  perfscope::BenchReporter reporter("fig6_deepcam_convergence");
+  apps::BenchReporter reporter("fig6_deepcam_convergence");
   reporter.set_config(fmt("nsamples={} epochs={}", nsamples, epochs));
 
   data::CamGenConfig cfg;
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   reporter.add_metric("final_epoch_loss.base", base.epoch_losses.back(),
                       "loss", "measured", /*better_higher=*/false);
   reporter.add_metric("final_epoch_gap", final_gap, "fraction", "measured",
-                      /*better_higher=*/false, /*noise_floor=*/0.02);
+                      /*better_higher=*/false);
   benchutil::finish(args, reporter);
   return 0;
 }

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   const int nsamples = args.pos_int(1, 16);
   const int epochs = args.pos_int(2, 5);
   const int dim = 16;
-  perfscope::BenchReporter reporter("fig7_cosmo_convergence");
+  apps::BenchReporter reporter("fig7_cosmo_convergence");
   reporter.set_config(
       fmt("runs={} nsamples={} epochs={} dim={}", runs, nsamples, epochs, dim));
 
@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
       final_dec.stddev() / std::max(1e-12, final_base.stddev()));
   reporter.add_metric("final_loss_ratio.dec_vs_base",
                       final_dec.mean() / std::max(1e-12, final_base.mean()),
-                      "ratio", "measured", /*better_higher=*/false,
-                      /*noise_floor=*/0.05);
+                      "ratio", "measured", /*better_higher=*/false);
   reporter.add_metric("final_loss.base_mean", final_base.mean(), "loss",
                       "measured", /*better_higher=*/false);
   benchutil::finish(args, reporter);

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const auto args = benchutil::parse_bench_args(argc, argv);
   const int height = args.pos_int(0, 768);
   const int width = args.pos_int(1, 1152);
-  perfscope::BenchReporter reporter("fig8_deepcam_throughput");
+  apps::BenchReporter reporter("fig8_deepcam_throughput");
   reporter.set_config(fmt("height={} width={}", height, width));
 
   benchutil::print_header(

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace sciprep;
   using apps::LoaderConfig;
   const auto args = benchutil::parse_bench_args(argc, argv);
-  perfscope::BenchReporter reporter("fig9_deepcam_breakdown");
+  apps::BenchReporter reporter("fig9_deepcam_breakdown");
   reporter.set_config("small-set batch=4");
 
   benchutil::print_header(

@@ -1,13 +1,13 @@
 // --json-out support for the google-benchmark micro suites.
 //
-// The plain figure benches build their sciprep.perf.bench.v1 records by hand
+// The plain figure benches build their sciprep.perf.bench.v2 records by hand
 // (bench_util.hpp); the gbench binaries instead capture every finished run
 // through a custom BenchmarkReporter and emit one record with a
 // `<BM_Name>.cpu_seconds` / `<BM_Name>.real_seconds` metric pair per
 // benchmark (per-iteration, better=lower). Replace BENCHMARK_MAIN() with:
 //
 //   int main(int argc, char** argv) {
-//     return benchutil::gbench_main(argc, argv, "obs_overhead");
+//     return benchutil::gbench_main(argc, argv, "micro_codecs");
 //   }
 //
 // Every other gbench flag (--benchmark_filter, --benchmark_format, ...) is
@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "sciprep/perfscope/benchreport.hpp"
+#include "sciprep/apps/benchreport.hpp"
 
 namespace benchutil {
 
@@ -30,7 +30,7 @@ namespace benchutil {
 /// refuses a file reporter unless --benchmark_out is also given.)
 class BenchRecordReporter : public benchmark::ConsoleReporter {
  public:
-  explicit BenchRecordReporter(sciprep::perfscope::BenchReporter* out)
+  explicit BenchRecordReporter(sciprep::apps::BenchReporter* out)
       : out_(out) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -40,20 +40,16 @@ class BenchRecordReporter : public benchmark::ConsoleReporter {
       const double iters =
           run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
       const std::string name = run.benchmark_name();
-      // Micro timings jitter; give the gate a floor of 2 ns/iteration so a
-      // sub-nanosecond wobble on a one-atomic-op benchmark never fails it.
-      constexpr double kFloorSeconds = 2e-9;
       out_->add_metric(name + ".cpu_seconds", run.cpu_accumulated_time / iters,
-                       "seconds", "measured", /*better_higher=*/false,
-                       kFloorSeconds);
+                       "seconds", "measured", /*better_higher=*/false);
       out_->add_metric(name + ".real_seconds",
                        run.real_accumulated_time / iters, "seconds",
-                       "measured", /*better_higher=*/false, kFloorSeconds);
+                       "measured", /*better_higher=*/false);
     }
   }
 
  private:
-  sciprep::perfscope::BenchReporter* out_;
+  sciprep::apps::BenchReporter* out_;
 };
 
 /// Drop-in BENCHMARK_MAIN() replacement adding --json-out.
@@ -74,7 +70,7 @@ inline int gbench_main(int argc, char** argv, const char* bench_name) {
   benchmark::Initialize(&pass_argc, pass.data());
   if (benchmark::ReportUnrecognizedArguments(pass_argc, pass.data())) return 1;
 
-  sciprep::perfscope::BenchReporter reporter(bench_name);
+  sciprep::apps::BenchReporter reporter(bench_name);
   reporter.set_config("default");
   BenchRecordReporter console(&reporter);
   benchmark::RunSpecifiedBenchmarks(&console);

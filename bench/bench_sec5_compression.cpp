@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const int cosmo_dim = args.pos_int(0, 128);
   const int cam_h = args.pos_int(1, 768);
   const int cam_w = args.pos_int(2, 1152);
-  perfscope::BenchReporter reporter("sec5_compression");
+  apps::BenchReporter reporter("sec5_compression");
   reporter.set_config(
       fmt("cosmo_dim={} cam_h={} cam_w={}", cosmo_dim, cam_h, cam_w));
 
@@ -119,8 +119,7 @@ int main(int argc, char** argv) {
                             static_cast<double>(raw.size()) / encoded.size(),
                             "x", "measured");
         reporter.add_metric("cam.error_tail_gt10pct", bad, "fraction",
-                            "measured", /*better_higher=*/false,
-                            /*noise_floor=*/0.005);
+                            "measured", /*better_higher=*/false);
       }
       std::printf(
           "%-8d %-10.2f %-10.2f %-8.2f %-9llu %-8llu %-8llu %-10.2f %-12.4f\n",

@@ -2,7 +2,7 @@
 // run the real ShardCoordinator over a reduced in-memory workload at world
 // sizes {1, 2, 4, 8}, check the merged global stream digest is bit-identical
 // at every rank count, and report measured throughput plus per-rank scaling
-// efficiency through perfscope. The coordinator multiplexes all ranks onto
+// efficiency into the bench record. The coordinator multiplexes all ranks onto
 // one process, so aggregate throughput should be flat across world sizes —
 // efficiency below ~1.0 is coordinator overhead, exactly the per-rank
 // sharding cost the <1% contract bounds.
@@ -12,8 +12,8 @@
 #include <cstdint>
 #include <cstdio>
 
+#include "sciprep/apps/benchreport.hpp"
 #include "sciprep/common/format.hpp"
-#include "sciprep/perfscope/benchreport.hpp"
 #include "sciprep/pipeline/pipeline.hpp"
 #include "sciprep/shard/coordinator.hpp"
 
@@ -66,11 +66,11 @@ inline ShardAxisPoint run_shard_world(
 
 /// Run the rank-count axis and report it: a printed table plus
 /// shard.samples_per_s.rN, shard.efficiency.rN (throughput at N ranks over
-/// throughput at 1 — wall-measured, so the regression floor is generous),
+/// throughput at 1, wall-measured),
 /// and shard.digest_invariant (1.0 iff every world produced the identical
 /// merged stream digest — the bit-reproducibility headline, exact).
 inline void report_shard_rank_axis(
-    sciprep::perfscope::BenchReporter& reporter,
+    sciprep::apps::BenchReporter& reporter,
     const sciprep::pipeline::InMemoryDataset& dataset,
     const sciprep::codec::SampleCodec& codec, int epochs = 2, int batch = 4,
     bool staged = true) {
@@ -92,17 +92,16 @@ inline void report_shard_rank_axis(
                 efficiency, p.stream_digest);
     reporter.add_metric(sciprep::fmt("shard.samples_per_s.r{}", world),
                         p.samples_per_s, "samples/s", "measured",
-                        /*better_higher=*/true, /*noise_floor=*/0.35);
+                        /*better_higher=*/true);
     if (world > 1) {
       reporter.add_metric(sciprep::fmt("shard.efficiency.r{}", world),
-                          efficiency, "x", "measured", /*better_higher=*/true,
-                          /*noise_floor=*/0.35);
+                          efficiency, "x", "measured", /*better_higher=*/true);
     }
   }
   std::printf("digest %s across rank counts {1,2,4,8}\n",
               invariant ? "BIT-IDENTICAL" : "DIVERGED");
   reporter.add_metric("shard.digest_invariant", invariant ? 1.0 : 0.0, "bool",
-                      "measured", /*better_higher=*/true, /*noise_floor=*/0.0);
+                      "measured", /*better_higher=*/true);
 }
 
 }  // namespace benchutil

@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace sciprep;
   const auto args = benchutil::parse_bench_args(argc, argv);
-  perfscope::BenchReporter reporter("table1_platforms");
+  apps::BenchReporter reporter("table1_platforms");
   reporter.set_config("presets");
 
   benchutil::print_header(

@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "sciprep/apps/benchreport.hpp"
 #include "sciprep/common/format.hpp"
 #include "sciprep/obs/obs.hpp"
-#include "sciprep/perfscope/benchreport.hpp"
 #include "sciprep/sim/platform.hpp"
 #include "sciprep/sim/stepmodel.hpp"
 
@@ -26,7 +26,7 @@ struct BenchArgs {
   std::vector<std::string> positional;
   std::string trace_out;    // --trace-out FILE: span timeline (Chrome JSON)
   std::string metrics_out;  // --metrics-out FILE: metrics registry dump
-  std::string json_out;     // --json-out FILE: sciprep.perf.bench.v1 record
+  std::string json_out;     // --json-out FILE: sciprep.perf.bench.v2 record
 
   /// Positional knob `index` as int, or `fallback` when absent.
   [[nodiscard]] int pos_int(std::size_t index, int fallback) const {
@@ -64,7 +64,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
 /// The reporter is written only when --json-out was given, so benches build
 /// their record unconditionally and stay branch-free.
 inline void finish(const BenchArgs& args,
-                   const sciprep::perfscope::BenchReporter& reporter) {
+                   const sciprep::apps::BenchReporter& reporter) {
   if (!args.trace_out.empty()) {
     sciprep::obs::Tracer::global().write_chrome_json(args.trace_out);
     std::printf("trace: %zu spans -> %s\n",

@@ -79,7 +79,7 @@
 #include "sciprep/flow/merge.hpp"
 #include "sciprep/insight/insight.hpp"
 #include "sciprep/obs/obs.hpp"
-#include "sciprep/perfscope/resource.hpp"
+#include "sciprep/obs/resource.hpp"
 #include "sciprep/pipeline/pipeline.hpp"
 #include "sciprep/serve/service.hpp"
 #include "sciprep/shard/coordinator.hpp"
@@ -2035,7 +2035,7 @@ int main(int argc, char** argv) {
   }
   // Declared before the exporter: the pre_tick hook runs on the exporter
   // thread, so the sampler must outlive it.
-  std::optional<perfscope::ResourceSampler> sampler;
+  std::optional<obs::ResourceSampler> sampler;
   std::optional<insight::ContinuousExporter> exporter;
   if (!args.metrics_jsonl.empty() || !args.metrics_prom.empty()) {
     insight::ExporterConfig ecfg;

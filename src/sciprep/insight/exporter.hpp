@@ -52,7 +52,7 @@ struct ExporterConfig {
   /// they are merged into one file.
   std::string scope;
   /// Called at the start of every tick, before the registry snapshot — the
-  /// hook by which slow-changing sources (e.g. perfscope's ResourceSampler)
+  /// hook by which slow-changing sources (e.g. obs::ResourceSampler)
   /// refresh their gauges on the exporter's cadence so each JSONL line
   /// carries a fresh reading. Runs on the sampler thread (and inside
   /// tick()); must be thread-safe and must not throw. Null is free.

@@ -1,10 +1,9 @@
 // Tiny JSON utilities for the observability layer: string escaping for the
 // writers, number formatting that never emits invalid tokens (NaN/inf become
 // null), and the one strict reader every consumer shares — trace smoke tests,
-// `trainer --validate`, the perfscope bench/trajectory readers, and the
-// fleet series reader. The reader builds a small DOM: doubles for every
-// number (perf metrics and counters fit comfortably), ordered maps for
-// objects. Writers keep using sciprep::fmt.
+// `trainer --validate`, and the fleet series reader. The reader builds a
+// small DOM: doubles for every number (perf metrics and counters fit
+// comfortably), ordered maps for objects. Writers keep using sciprep::fmt.
 #pragma once
 
 #include <map>

@@ -15,9 +15,9 @@
 //
 // Building with -DSCIPREP_OBS_DISABLED (CMake option SCIPREP_OBS_DISABLED)
 // compiles the macros away entirely, so instrumented hot paths carry zero
-// overhead — perfbench's obs_overhead probe measures the residual cost of the
-// default build (a runtime-disabled tracer costs one relaxed atomic load per
-// span).
+// overhead. In the default build a runtime-disabled tracer costs one relaxed
+// atomic load per span; that residual is not separately measured. loadbench's
+// obs.trace_overhead_fraction prices the tracer switched on.
 // Registry objects used directly (e.g. the pipeline's per-stage stats, which
 // back PipelineStats) are not affected by the switch.
 #pragma once

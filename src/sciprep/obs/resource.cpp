@@ -1,4 +1,4 @@
-#include "sciprep/perfscope/resource.hpp"
+#include "sciprep/obs/resource.hpp"
 
 #include <cstdio>
 #include <cstring>
@@ -13,7 +13,7 @@
 #include "sciprep/common/sysio.hpp"
 #include "sciprep/obs/json.hpp"
 
-namespace sciprep::perfscope {
+namespace sciprep::obs {
 
 std::string ResourceSample::to_json() const {
   return fmt(
@@ -21,15 +21,15 @@ std::string ResourceSample::to_json() const {
       "\"rss_bytes\":{},\"peak_rss_bytes\":{},\"minor_faults\":{},"
       "\"major_faults\":{},\"ctx_voluntary\":{},\"ctx_involuntary\":{},"
       "\"io_read_bytes\":{},\"io_write_bytes\":{},\"threads\":{}}}",
-      ok, obs::json_number(cpu_utime_seconds),
-      obs::json_number(cpu_stime_seconds), rss_bytes, peak_rss_bytes,
+      ok, json_number(cpu_utime_seconds),
+      json_number(cpu_stime_seconds), rss_bytes, peak_rss_bytes,
       minor_faults, major_faults, ctx_voluntary, ctx_involuntary,
       io_read_bytes, io_write_bytes, threads);
 }
 
-ResourceSampler::ResourceSampler(obs::MetricsRegistry* registry)
+ResourceSampler::ResourceSampler(MetricsRegistry* registry)
     : registry_(registry != nullptr ? registry
-                                    : &obs::MetricsRegistry::global()) {}
+                                    : &MetricsRegistry::global()) {}
 
 #if defined(SCIPREP_OBS_DISABLED)
 
@@ -144,25 +144,13 @@ ResourceSample ResourceSampler::publish() {
   set("proc.io_read_bytes", s.io_read_bytes);
   set("proc.io_write_bytes", s.io_write_bytes);
   set("proc.threads", s.threads);
-  std::lock_guard lock(mutex_);
-  series_.push_back(s);
-  if (series_.size() > kMaxSeries) {
-    series_.erase(series_.begin(),
-                  series_.begin() +
-                      static_cast<std::ptrdiff_t>(series_.size() - kMaxSeries));
-  }
   return s;
 }
 
 #endif  // SCIPREP_OBS_DISABLED
 
-std::vector<ResourceSample> ResourceSampler::series() const {
-  std::lock_guard lock(mutex_);
-  return series_;
-}
-
 std::function<void()> ResourceSampler::exporter_hook() {
   return [this] { publish(); };
 }
 
-}  // namespace sciprep::perfscope
+}  // namespace sciprep::obs

@@ -1,4 +1,4 @@
-// Host resource sampling (sciprep::perfscope).
+// Host resource sampling (sciprep::obs).
 //
 // Preprocessing throughput is only interpretable next to what the host paid
 // for it ("Understand Data Preprocessing…"): peak RSS says whether the
@@ -6,8 +6,8 @@
 // work vs scheduler churn, and involuntary context switches expose a noisy
 // neighbour mid-benchmark. ResourceSampler reads /proc/self/{stat,status,io}
 // and getrusage(2) into one ResourceSample and publishes the values as
-// proc.* gauges, so the insight exporter's JSONL ticks and perfscope's bench
-// records carry the same resource series.
+// proc.* gauges, so the insight exporter's JSONL ticks and the bench records
+// (apps/benchreport.hpp) carry the same readings.
 //
 // Under SCIPREP_OBS_DISABLED everything compiles to a no-op: sample()
 // returns a default (ok == false) sample and publish() touches nothing — the
@@ -16,13 +16,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "sciprep/obs/metrics.hpp"
 
-namespace sciprep::perfscope {
+namespace sciprep::obs {
 
 /// One point-in-time reading of the process's host resource consumption.
 /// Cumulative fields (CPU seconds, faults, context switches, IO bytes) are
@@ -57,31 +55,22 @@ class ResourceSampler {
  public:
   /// `registry` null means obs::MetricsRegistry::global(). Must outlive the
   /// sampler.
-  explicit ResourceSampler(obs::MetricsRegistry* registry = nullptr);
+  explicit ResourceSampler(MetricsRegistry* registry = nullptr);
 
   /// Read /proc + getrusage right now. Never throws; a sample taken on a
   /// host without /proc still carries the getrusage fields. Returns
   /// ok == false (all zeros) under SCIPREP_OBS_DISABLED.
   [[nodiscard]] static ResourceSample sample();
 
-  /// sample() + set the proc.* gauges + append to the in-memory series.
-  /// Thread-safe; no-op (returns ok == false) under SCIPREP_OBS_DISABLED.
+  /// sample() + set the proc.* gauges. Thread-safe; no-op (returns
+  /// ok == false) under SCIPREP_OBS_DISABLED.
   ResourceSample publish();
-
-  /// Samples collected by publish() so far, in order. The series keeps the
-  /// most recent kMaxSeries readings (old ones are dropped) so a sampler on
-  /// a long-lived exporter cannot grow without bound.
-  [[nodiscard]] std::vector<ResourceSample> series() const;
-
-  static constexpr std::size_t kMaxSeries = 16384;
 
   /// Callback form of publish() for ExporterConfig::pre_tick.
   [[nodiscard]] std::function<void()> exporter_hook();
 
  private:
-  obs::MetricsRegistry* registry_;
-  mutable std::mutex mutex_;  // guards series_
-  std::vector<ResourceSample> series_;
+  MetricsRegistry* registry_;
 };
 
-}  // namespace sciprep::perfscope
+}  // namespace sciprep::obs

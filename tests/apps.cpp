@@ -1,10 +1,12 @@
 // Tests for the workload apps: model construction, trainer behaviour,
-// FP32-vs-FP16 input arms, measurement harness, and the step-time model's
-// reproduction of the paper's qualitative effects.
+// FP32-vs-FP16 input arms, measurement harness, the step-time model's
+// reproduction of the paper's qualitative effects, and the bench records.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "sciprep/apps/benchreport.hpp"
 #include "sciprep/apps/measure.hpp"
 #include "sciprep/apps/models.hpp"
 #include "sciprep/apps/trainer.hpp"
@@ -13,6 +15,7 @@
 #include "sciprep/common/error.hpp"
 #include "sciprep/data/cam_gen.hpp"
 #include "sciprep/data/cosmo_gen.hpp"
+#include "sciprep/obs/json.hpp"
 #include "sciprep/sim/stepmodel.hpp"
 
 namespace sciprep::apps {
@@ -301,6 +304,31 @@ TEST(StepModel, BreakdownComponentsAreConsistent) {
   EXPECT_GE(b.step_seconds(), b.host_work);
   EXPECT_GE(b.step_seconds(), b.io_read);
   EXPECT_GT(sim::node_samples_per_second(scenario, b), 0);
+}
+
+// ----------------------------------------------------------- bench record --
+
+TEST(BenchReport, EmitsValidSchemaTaggedJson) {
+  BenchReporter reporter("unit_bench");
+  reporter.set_config("dim=16 repeat=2");
+  reporter.add_metric("samples_per_s", 1234.5, "samples/s", "modeled");
+  reporter.add_metric("decode_seconds", 0.25, "seconds", "measured",
+                      /*better_higher=*/false);
+  reporter.charge_sim_seconds(3.5);
+  const std::string json = reporter.to_json();
+  EXPECT_TRUE(obs::json_valid(json)) << json;
+  EXPECT_NE(json.find("\"schema\":\"sciprep.perf.bench.v2\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"host\":"), std::string::npos);
+}
+
+TEST(BenchReport, WallAndSimSecondsStaySeparate) {
+  BenchReporter reporter("timing");
+  reporter.charge_sim_seconds(100.0);  // modeled time, not harness time
+  const BenchRecord record = reporter.snapshot();
+  EXPECT_DOUBLE_EQ(record.sim_charged_seconds, 100.0);
+  EXPECT_LT(record.wall_seconds, 10.0);  // the snapshot itself is instant
+  EXPECT_GE(record.wall_seconds, 0.0);
 }
 
 }  // namespace

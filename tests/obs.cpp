@@ -1,5 +1,6 @@
 // Tests for sciprep::obs — span tracer, metrics registry, JSON writers and
-// the JSON document reader, and the ThreadPool/log wiring.
+// the JSON document reader, the ThreadPool/log wiring, and host resource
+// sampling.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,6 +14,7 @@
 #include "sciprep/common/log.hpp"
 #include "sciprep/common/threadpool.hpp"
 #include "sciprep/obs/obs.hpp"
+#include "sciprep/obs/resource.hpp"
 
 namespace sciprep::obs {
 namespace {
@@ -321,6 +323,75 @@ TEST(ObsMacros, CountMacroBumpsGlobalCounter) {
             before + 3);
 #endif
 }
+
+// --- Resource sampler --------------------------------------------------------
+
+#if !defined(SCIPREP_OBS_DISABLED)
+
+TEST(ResourceSampler, PeakRssNeverBelowCurrent) {
+  const ResourceSample s = ResourceSampler::sample();
+  ASSERT_TRUE(s.ok);
+  EXPECT_GT(s.rss_bytes, 0u);
+  EXPECT_GE(s.peak_rss_bytes, s.rss_bytes);
+  EXPECT_GE(s.threads, 1u);
+}
+
+TEST(ResourceSampler, CumulativeCountersAreMonotone) {
+  const ResourceSample a = ResourceSampler::sample();
+  // Burn a little CPU so the utime clock visibly advances between readings.
+  volatile double sink = 0;
+  for (int i = 0; i < 2000000; ++i) {
+    sink = sink + static_cast<double>(i) * 1e-9;
+  }
+  const ResourceSample b = ResourceSampler::sample();
+  ASSERT_TRUE(a.ok);
+  ASSERT_TRUE(b.ok);
+  EXPECT_GE(b.cpu_utime_seconds, a.cpu_utime_seconds);
+  EXPECT_GE(b.cpu_stime_seconds, a.cpu_stime_seconds);
+  EXPECT_GT(b.cpu_seconds(), a.cpu_seconds());
+  EXPECT_GE(b.minor_faults, a.minor_faults);
+  EXPECT_GE(b.major_faults, a.major_faults);
+  EXPECT_GE(b.ctx_voluntary, a.ctx_voluntary);
+  EXPECT_GE(b.io_read_bytes, a.io_read_bytes);
+  EXPECT_GE(b.peak_rss_bytes, a.peak_rss_bytes);
+}
+
+TEST(ResourceSampler, PublishMirrorsIntoGaugesAndSeries) {
+  MetricsRegistry registry;
+  ResourceSampler sampler(&registry);
+  const ResourceSample s = sampler.publish();
+  ASSERT_TRUE(s.ok);
+  const MetricsSnapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.gauges.count("proc.rss_bytes"), 1u);
+  ASSERT_EQ(snap.gauges.count("proc.cpu_utime_ms"), 1u);
+  EXPECT_EQ(static_cast<std::uint64_t>(snap.gauges.at("proc.rss_bytes").value),
+            s.rss_bytes);
+  // Each publish is one point of the exporter's series: the next reading
+  // overwrites the gauges, and the cumulative CPU clock never runs back.
+  const ResourceSample later = sampler.publish();
+  ASSERT_TRUE(later.ok);
+  EXPECT_GE(registry.snapshot().gauges.at("proc.cpu_utime_ms").value,
+            snap.gauges.at("proc.cpu_utime_ms").value);
+}
+
+TEST(ResourceSampler, SampleJsonIsValid) {
+  const ResourceSample s = ResourceSampler::sample();
+  EXPECT_TRUE(json_valid(s.to_json())) << s.to_json();
+}
+
+#else  // SCIPREP_OBS_DISABLED
+
+TEST(ResourceSampler, DisabledBuildIsANoOp) {
+  MetricsRegistry registry;
+  ResourceSampler sampler(&registry);
+  const ResourceSample s = sampler.publish();
+  EXPECT_FALSE(s.ok);
+  EXPECT_EQ(s.rss_bytes, 0u);
+  EXPECT_DOUBLE_EQ(s.cpu_seconds(), 0.0);
+  EXPECT_TRUE(registry.snapshot().gauges.empty());
+}
+
+#endif  // SCIPREP_OBS_DISABLED
 
 }  // namespace
 }  // namespace sciprep::obs
