@@ -146,21 +146,29 @@ void BM_GzipDecompress(benchmark::State& state) {
 }
 BENCHMARK(BM_GzipDecompress);
 
+// Arg 0: the scalar fp32_to_fp16_bits loop; arg 1: the span convert the
+// decoders emit through (F16C where the CPU has it). Items are values.
 void BM_Fp16Convert(benchmark::State& state) {
   std::vector<float> values(1 << 16);
   Rng rng(1);
   for (auto& v : values) v = static_cast<float>(rng.normal() * 100);
+  std::vector<Half> out(values.size());
+  const bool span = state.range(0) != 0;
   for (auto _ : state) {
-    std::uint32_t acc = 0;
-    for (const float v : values) {
-      acc += fp32_to_fp16_bits(v);
+    if (span) {
+      fp32_to_fp16_n(values.data(), out.data(), values.size());
+    } else {
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        out[i] = Half::from_bits(fp32_to_fp16_bits(values[i]));
+      }
     }
-    benchmark::DoNotOptimize(acc);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(values.size()));
 }
-BENCHMARK(BM_Fp16Convert);
+BENCHMARK(BM_Fp16Convert)->Arg(0)->Arg(1);
 
 void BM_TfRecordRoundTrip(benchmark::State& state) {
   Bytes payload(1 << 20, 0x5A);

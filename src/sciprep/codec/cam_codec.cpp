@@ -1,5 +1,7 @@
 #include "sciprep/codec/cam_codec.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -75,22 +77,11 @@ std::uint8_t pack_delta(const QDelta& q, int emin) {
   return byte;
 }
 
-float unpack_delta(std::uint8_t byte, int emin) {
-  if (byte == 0x00) return 0.0F;
-  const bool negative = (byte & 0x80) != 0;
-  const int off = (byte >> 4) & 0x07;
-  const int mant = byte & 0x0F;
-  const float magnitude = (1.0F + static_cast<float>(mant) / 16.0F) *
-                          std::ldexp(1.0F, emin + off);
-  return negative ? -magnitude : magnitude;
-}
-
-/// A segment under construction or decoded: pivot plus quantized deltas.
+/// A planned segment: pivot plus quantized deltas.
 struct Segment {
   std::uint16_t count = 0;  // values covered, including the pivot
   float pivot = 0;
   int emin = 0;
-  std::size_t delta_offset = 0;  // into the line's delta byte array
 };
 
 struct LinePlan {
@@ -154,7 +145,6 @@ LinePlan plan_line(std::span<const float> line, const CamEncodeOptions& opt) {
     seg.count = static_cast<std::uint16_t>(end - seg_start);
     seg.pivot = line[seg_start];
     seg.emin = have_e ? min_e : 0;
-    seg.delta_offset = plan.deltas.size();
     for (const QDelta& q : pending) {
       plan.deltas.push_back(pack_delta(q, seg.emin));
     }
@@ -233,9 +223,58 @@ struct ChannelStats {
   float inv_std = 1;
 };
 
-/// The fused preprocessing applied before every FP16 emit.
-inline Half emit(float raw, const ChannelStats& s, bool normalize) {
-  return Half(normalize ? (raw - s.mean) * s.inv_std : raw);
+/// Per-sample statistics of one channel plane for the fused normalization.
+ChannelStats channel_stats(const float* plane, std::size_t n) {
+  double sum = 0;
+  for (std::size_t i = 0; i < n; ++i) sum += plane[i];
+  const double mean = sum / static_cast<double>(n);
+  double var = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = plane[i] - mean;
+    var += d * d;
+  }
+  var /= static_cast<double>(n);
+  return {static_cast<float>(mean),
+          static_cast<float>(1.0 / std::sqrt(std::max(var, 1e-12)))};
+}
+
+/// Per-thread line scratch, reused across lines and samples: the FP32
+/// reconstruction and the staged FP16 line of a strided (HWC) emit.
+struct LineScratch {
+  std::vector<float> f32;
+  std::vector<Half> f16;
+};
+
+LineScratch& line_scratch(std::size_t width) {
+  thread_local LineScratch scratch;
+  if (scratch.f32.size() < width) {
+    scratch.f32.resize(width);
+    scratch.f16.resize(width);
+  }
+  return scratch;
+}
+
+/// The codec's FP16 emit: the fused normalize in place, one span convert for
+/// the whole line, written to `dst[x * stride]` — straight through for
+/// stride 1, staged then scattered otherwise (the fused layout transpose).
+void emit_line(float* line, std::size_t width, const ChannelStats& s,
+               bool normalize, Half* dst, std::size_t stride) {
+  if (normalize) {
+    for (std::size_t x = 0; x < width; ++x) {
+      line[x] = (line[x] - s.mean) * s.inv_std;
+    }
+  }
+  if (stride == 1) {
+    fp32_to_fp16_n(line, dst, width);
+    return;
+  }
+  // `line` may be this thread's f32 scratch; callers sized it for `width`
+  // already, so this lookup does not reallocate it.
+  Half* staged = line_scratch(width).f16.data();
+  fp32_to_fp16_n(line, staged, width);
+  for (std::size_t x = 0; x < width; ++x) {
+    dst[x * stride] = staged[x];
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -335,73 +374,122 @@ ParsedCam parse_cam(ByteSpan encoded) {
   return p;
 }
 
-/// Decode one line into `out[x] = emit(value(x))` through an index functor.
-template <class Emit>
-void decode_line(const ParsedLine& line, int width, const ChannelStats& stats,
-                 bool normalize, Emit&& out) {
+/// The exact signed factors ±(1 + mant/16) of a delta code, indexed by its
+/// sign bit and 4-bit mantissa: (byte & 0x0F) | (byte & 0x80) >> 3.
+constexpr auto kSignedMantissa = [] {
+  std::array<float, 32> m{};
+  for (std::size_t i = 0; i < 16; ++i) {
+    m[i] = 1.0F + static_cast<float>(i) / 16.0F;
+    m[i + 16] = -m[i];
+  }
+  return m;
+}();
+
+/// Validate a delta line's segment headers in one pass without allocating,
+/// then reconstruct the line in FP32 into `recon[0, width)` (paper §V.A).
+/// Each segment hoists its exponent window into p2[off] = 2^(emin + off),
+/// so a delta costs two table loads and the multiply the per-value ldexp
+/// form computed — the same product, so the same bits.
+void reconstruct_delta(ByteSpan body, std::size_t width, float* recon) {
+  ByteReader in(body);
+  const auto seg_count = in.get<std::uint16_t>();
+  std::size_t covered = 0;
+  for (std::uint16_t s = 0; s < seg_count; ++s) {
+    const auto count = in.get<std::uint16_t>();
+    in.skip(sizeof(float) + sizeof(std::int16_t));
+    if (count == 0) {
+      throw_format("cam codec: empty segment");
+    }
+    covered += count;
+  }
+  if (covered != width) {
+    throw_format("cam codec: segments cover {} of {} values", covered, width);
+  }
+  const std::uint8_t* delta = in.get_bytes(covered - seg_count).data();
+  if (!in.done()) {
+    throw_format("cam codec: trailing bytes in delta line");
+  }
+  ByteReader header(body.subspan(sizeof(std::uint16_t)));
+  for (std::uint16_t s = 0; s < seg_count; ++s) {
+    const auto count = header.get<std::uint16_t>();
+    float v = header.get<float>();
+    const int emin = header.get<std::int16_t>();
+    std::array<float, 9> p2{};  // p2[8] stays 0: it scales the zero code
+    for (std::size_t off = 0; off < 8; ++off) {
+      p2[off] = std::ldexp(1.0F, emin + static_cast<int>(off));
+    }
+    *recon++ = v;
+    for (std::uint16_t i = 1; i < count; ++i) {
+      const unsigned b = *delta++;
+      v += kSignedMantissa[(b & 0x0Fu) | ((b & 0x80u) >> 3)] *
+           p2[b == 0 ? 8 : (b >> 4) & 0x07u];
+      *recon++ = v;
+    }
+  }
+}
+
+/// The line kernel: decode one encoded line to FP16 at `dst[x * stride]`.
+/// Raw lines copy their stored bits (normalized at encode time); constant
+/// and delta lines reconstruct in FP32 in the thread's scratch and go
+/// through emit_line.
+void decode_line(const ParsedLine& line, std::size_t width,
+                 const ChannelStats& stats, bool normalize, Half* dst,
+                 std::size_t stride) {
+  float* recon = line_scratch(width).f32.data();
   switch (line.mode) {
     case kModeConstant: {
       ByteReader in(line.body);
-      const float v = in.get<float>();
-      const Half h = emit(v, stats, normalize);
-      for (int x = 0; x < width; ++x) {
-        out(x, h);
-      }
+      std::fill_n(recon, width, in.get<float>());
       break;
     }
-    case kModeRaw16: {
-      if (line.body.size() != static_cast<std::size_t>(width) * 2) {
+    case kModeRaw16:
+      if (line.body.size() != width * sizeof(Half)) {
         throw_format("cam codec: raw line has {} bytes for width {}",
                      line.body.size(), width);
       }
-      for (int x = 0; x < width; ++x) {
-        std::uint16_t bits;
-        std::memcpy(&bits, line.body.data() + static_cast<std::size_t>(x) * 2,
-                    2);
-        out(x, Half::from_bits(bits));  // already normalized at encode time
+      for (std::size_t x = 0; x < width; ++x) {
+        std::memcpy(dst + x * stride, line.body.data() + x * sizeof(Half),
+                    sizeof(Half));
       }
+      return;
+    case kModeDelta:
+      reconstruct_delta(line.body, width, recon);
       break;
-    }
-    case kModeDelta: {
-      ByteReader in(line.body);
-      const auto seg_count = in.get<std::uint16_t>();
-      std::vector<Segment> segs(seg_count);
-      std::size_t covered = 0;
-      std::size_t delta_total = 0;
-      for (auto& s : segs) {
-        s.count = in.get<std::uint16_t>();
-        s.pivot = in.get<float>();
-        s.emin = in.get<std::int16_t>();
-        if (s.count == 0) {
-          throw_format("cam codec: empty segment");
-        }
-        s.delta_offset = delta_total;
-        covered += s.count;
-        delta_total += s.count - 1u;
-      }
-      if (covered != static_cast<std::size_t>(width)) {
-        throw_format("cam codec: segments cover {} of {} values", covered,
-                     width);
-      }
-      const ByteSpan deltas = in.get_bytes(delta_total);
-      if (!in.done()) {
-        throw_format("cam codec: trailing bytes in delta line");
-      }
-      int x = 0;
-      for (const Segment& s : segs) {
-        float recon = s.pivot;  // FP32 reconstruction, FP16 emit (paper §V.A)
-        out(x++, emit(recon, stats, normalize));
-        for (std::uint16_t i = 0; i + 1 < s.count; ++i) {
-          recon += unpack_delta(deltas[s.delta_offset + i], s.emin);
-          out(x++, emit(recon, stats, normalize));
-        }
-      }
-      break;
-    }
     default:
       throw_format("cam codec: bad line mode {}", line.mode);
   }
+  emit_line(recon, width, stats, normalize, dst, stride);
 }
+
+/// A decode's output tensor in the requested layout, and where each
+/// (channel, row) line lands in it: `line(c, y)[x * stride]`, the layout
+/// transpose fused into the write index.
+struct CamOutput {
+  CamOutput(int c, int h, int w, CamLayout layout, Bytes labels)
+      : chw(layout == CamLayout::kCHW),
+        height(static_cast<std::size_t>(h)),
+        width(static_cast<std::size_t>(w)),
+        stride(chw ? 1 : static_cast<std::size_t>(c)) {
+    const auto channels = static_cast<std::uint64_t>(c);
+    tensor.shape = chw ? std::vector<std::uint64_t>{channels, height, width}
+                       : std::vector<std::uint64_t>{height, width, channels};
+    tensor.values.resize(channels * height * width);
+    tensor.byte_labels = std::move(labels);
+  }
+
+  Half* line(int c, int y) {
+    const auto cz = static_cast<std::size_t>(c);
+    const auto yz = static_cast<std::size_t>(y);
+    return tensor.values.data() +
+           (chw ? (cz * height + yz) * width : yz * width * stride + cz);
+  }
+
+  bool chw;
+  std::size_t height;
+  std::size_t width;
+  std::size_t stride;  // between a line's values: 1 (CHW) or channels (HWC)
+  TensorF16 tensor;
+};
 
 }  // namespace
 
@@ -423,22 +511,11 @@ Bytes CamCodec::encode_sample(const io::CamSample& sample) const {
   }
 
   // Per-channel statistics for the fused normalization.
-  std::vector<ChannelStats> stats(static_cast<std::size_t>(sample.channels));
+  std::vector<ChannelStats> stats;
   for (int c = 0; c < sample.channels; ++c) {
-    const float* plane =
-        sample.image.data() + static_cast<std::size_t>(c) * sample.pixel_count();
-    double sum = 0;
-    for (std::size_t i = 0; i < sample.pixel_count(); ++i) sum += plane[i];
-    const double mean = sum / static_cast<double>(sample.pixel_count());
-    double var = 0;
-    for (std::size_t i = 0; i < sample.pixel_count(); ++i) {
-      const double d = plane[i] - mean;
-      var += d * d;
-    }
-    var /= static_cast<double>(sample.pixel_count());
-    const double stddev = std::sqrt(std::max(var, 1e-12));
-    stats[static_cast<std::size_t>(c)] = {
-        static_cast<float>(mean), static_cast<float>(1.0 / stddev)};
+    stats.push_back(channel_stats(
+        sample.image.data() + static_cast<std::size_t>(c) * sample.pixel_count(),
+        sample.pixel_count()));
   }
 
   ByteWriter out;
@@ -480,12 +557,16 @@ Bytes CamCodec::encode_sample(const io::CamSample& sample) const {
         case kModeConstant:
           payload.put<float>(plan.constant);
           break;
-        case kModeRaw16:
-          for (const float v : line) {
-            payload.put<std::uint16_t>(
-                emit(v, cs, encode_options_.normalize).bits());
-          }
+        case kModeRaw16: {
+          LineScratch& scratch = line_scratch(line.size());
+          std::copy(line.begin(), line.end(), scratch.f32.begin());
+          emit_line(scratch.f32.data(), line.size(), cs,
+                    encode_options_.normalize, scratch.f16.data(), 1);
+          payload.put_bytes(ByteSpan(
+              reinterpret_cast<const std::uint8_t*>(scratch.f16.data()),
+              line.size() * sizeof(Half)));
           break;
+        }
         case kModeDelta:
           payload.put<std::uint16_t>(
               static_cast<std::uint16_t>(plan.segments.size()));
@@ -510,120 +591,78 @@ Bytes CamCodec::encode_sample(const io::CamSample& sample) const {
 }
 
 TensorF16 CamCodec::decode_sample_cpu(ByteSpan encoded) const {
-  const ParsedCam p = parse_cam(encoded);
-  TensorF16 out;
-  const auto c64 = static_cast<std::uint64_t>(p.channels);
-  const auto h64 = static_cast<std::uint64_t>(p.height);
-  const auto w64 = static_cast<std::uint64_t>(p.width);
-  const bool chw = decode_options_.layout == CamLayout::kCHW;
-  out.shape = chw ? std::vector<std::uint64_t>{c64, h64, w64}
-                  : std::vector<std::uint64_t>{h64, w64, c64};
-  out.values.resize(c64 * h64 * w64);
-  out.byte_labels = p.labels;
-
+  ParsedCam p = parse_cam(encoded);
+  CamOutput out(p.channels, p.height, p.width, decode_options_.layout,
+                std::move(p.labels));
   for (int c = 0; c < p.channels; ++c) {
     guard::poll_cancellation();  // cancellation point per channel
-    const ChannelStats& cs = p.stats[static_cast<std::size_t>(c)];
     for (int y = 0; y < p.height; ++y) {
-      const ParsedLine& line =
-          p.lines[static_cast<std::size_t>(c) * p.height + y];
-      // Layout transpose fused into the write index.
-      if (chw) {
-        Half* dst = out.values.data() +
-                    (static_cast<std::size_t>(c) * p.height + y) * p.width;
-        decode_line(line, p.width, cs, p.normalize,
-                    [dst](int x, Half h) { dst[x] = h; });
-      } else {
-        Half* base = out.values.data() +
-                     static_cast<std::size_t>(y) * p.width * p.channels +
-                     static_cast<std::size_t>(c);
-        const int stride = p.channels;
-        decode_line(line, p.width, cs, p.normalize, [base, stride](int x, Half h) {
-          base[static_cast<std::size_t>(x) * stride] = h;
-        });
-      }
+      decode_line(p.lines[static_cast<std::size_t>(c) * out.height + y],
+                  out.width, p.stats[static_cast<std::size_t>(c)], p.normalize,
+                  out.line(c, y), out.stride);
     }
   }
-  return out;
+  return std::move(out.tensor);
 }
 
 TensorF16 CamCodec::decode_sample_gpu(ByteSpan encoded,
                                       sim::SimGpu& gpu) const {
-  const ParsedCam p = parse_cam(encoded);
-  TensorF16 out;
-  const auto c64 = static_cast<std::uint64_t>(p.channels);
-  const auto h64 = static_cast<std::uint64_t>(p.height);
-  const auto w64 = static_cast<std::uint64_t>(p.width);
-  const bool chw = decode_options_.layout == CamLayout::kCHW;
-  out.shape = chw ? std::vector<std::uint64_t>{c64, h64, w64}
-                  : std::vector<std::uint64_t>{h64, w64, c64};
-  out.values.resize(c64 * h64 * w64);
-  out.byte_labels = p.labels;
+  ParsedCam p = parse_cam(encoded);
+  CamOutput out(p.channels, p.height, p.width, decode_options_.layout,
+                std::move(p.labels));
 
   // Hierarchical warp assignment (paper §VI): each line decodes in its own
   // warp — lines are fully independent thanks to the offset table. Within a
   // warp, copy/broadcast tasks run lane-parallel (coalesced 32-value writes);
   // the serial delta reconstruction walks in registers and flushes through
   // lane-parallel stores, with each segment transition noted as divergence.
-  const std::size_t line_count = p.lines.size();
   const int width = p.width;
-  const int height = p.height;
-  const int channels = p.channels;
-  Half* values = out.values.data();
-  const bool normalize = p.normalize;
-
-  gpu.launch(line_count, [&, width, height, channels, chw,
-                          normalize](sim::Warp& warp) {
-    const std::size_t line_id = warp.id();
-    const int c = static_cast<int>(line_id) / height;
-    const int y = static_cast<int>(line_id) % height;
+  gpu.launch(p.lines.size(), [&](sim::Warp& warp) {
+    const int c = static_cast<int>(warp.id()) / p.height;
+    const int y = static_cast<int>(warp.id()) % p.height;
     const ChannelStats& cs = p.stats[static_cast<std::size_t>(c)];
-    const ParsedLine& line = p.lines[line_id];
+    const ParsedLine& line = p.lines[warp.id()];
 
     // Stage the line into a "shared memory" buffer, then flush with
     // lane-parallel batches of 32 (the coalesced store pattern).
-    std::vector<Half> staged(static_cast<std::size_t>(width));
+    Half* staged = line_scratch(out.width).f16.data();
     switch (line.mode) {
       case kModeConstant: {
-        ByteReader in(line.body);
-        const Half h = emit(in.get<float>(), cs, normalize);
+        float v = ByteReader(line.body).get<float>();
+        Half h;
+        emit_line(&v, 1, cs, p.normalize, &h, 1);
         // Pure broadcast: every lane writes the same register value.
         for (int x0 = 0; x0 < width; x0 += sim::Warp::kLanes) {
           warp.lanes([&](int lane) {
-            const int x = x0 + lane;
-            if (x < width) staged[static_cast<std::size_t>(x)] = h;
+            if (x0 + lane < width) staged[x0 + lane] = h;
           });
         }
         warp.count_read(sizeof(float));
         break;
       }
       case kModeRaw16: {
-        if (line.body.size() != static_cast<std::size_t>(width) * 2) {
+        if (line.body.size() != out.width * sizeof(Half)) {
           throw_format("cam codec: raw line has {} bytes for width {}",
                        line.body.size(), width);
         }
         for (int x0 = 0; x0 < width; x0 += sim::Warp::kLanes) {
           warp.lanes([&](int lane) {
             const int x = x0 + lane;
-            if (x >= width) return;
-            std::uint16_t bits;
-            std::memcpy(&bits,
-                        line.body.data() + static_cast<std::size_t>(x) * 2, 2);
-            staged[static_cast<std::size_t>(x)] = Half::from_bits(bits);
+            if (x < width) {
+              std::memcpy(staged + x, line.body.data() + x * sizeof(Half),
+                          sizeof(Half));
+            }
           });
         }
-        warp.count_read(static_cast<std::uint64_t>(width) * 2);
+        warp.count_read(out.width * sizeof(Half));
         break;
       }
       case kModeDelta: {
         // Serial reconstruction: one lane effectively works while the warp
         // waits — the divergence cost the paper's hierarchical scheme
         // mitigates by keeping other warps (other lines) resident.
-        decode_line(line, width, cs, normalize, [&staged](int x, Half h) {
-          staged[static_cast<std::size_t>(x)] = h;
-        });
-        ByteReader in(line.body);
-        const auto seg_count = in.get<std::uint16_t>();
+        decode_line(line, out.width, cs, p.normalize, staged, 1);
+        const auto seg_count = ByteReader(line.body).get<std::uint16_t>();
         for (int s = 0; s < seg_count; ++s) {
           warp.note_divergence();
         }
@@ -636,32 +675,17 @@ TensorF16 CamCodec::decode_sample_gpu(ByteSpan encoded,
 
     // Flush: lane-parallel stores; CHW is coalesced, HWC strides by channel
     // count (counted as divergence pressure for the ablation bench).
-    if (chw) {
-      Half* dst =
-          values + (static_cast<std::size_t>(c) * height + y) * width;
-      for (int x0 = 0; x0 < width; x0 += sim::Warp::kLanes) {
-        warp.lanes([&](int lane) {
-          const int x = x0 + lane;
-          if (x < width) dst[x] = staged[static_cast<std::size_t>(x)];
-        });
-      }
-    } else {
-      Half* base = values + static_cast<std::size_t>(y) * width * channels +
-                   static_cast<std::size_t>(c);
-      for (int x0 = 0; x0 < width; x0 += sim::Warp::kLanes) {
-        warp.note_divergence();  // strided (uncoalesced) store pattern
-        warp.lanes([&](int lane) {
-          const int x = x0 + lane;
-          if (x < width) {
-            base[static_cast<std::size_t>(x) * channels] =
-                staged[static_cast<std::size_t>(x)];
-          }
-        });
-      }
+    Half* dst = out.line(c, y);
+    for (int x0 = 0; x0 < width; x0 += sim::Warp::kLanes) {
+      if (!out.chw) warp.note_divergence();  // strided (uncoalesced) stores
+      warp.lanes([&](int lane) {
+        const int x = x0 + lane;
+        if (x < width) dst[static_cast<std::size_t>(x) * out.stride] = staged[x];
+      });
     }
-    warp.count_write(static_cast<std::uint64_t>(width) * sizeof(Half));
+    warp.count_write(out.width * sizeof(Half));
   });
-  return out;
+  return std::move(out.tensor);
 }
 
 CamEncodedInfo CamCodec::inspect(ByteSpan encoded) {
@@ -693,49 +717,25 @@ CamEncodedInfo CamCodec::inspect(ByteSpan encoded) {
 TensorF16 CamCodec::reference_preprocess_sample(const io::CamSample& sample,
                                                 bool normalize,
                                                 CamLayout layout) {
-  TensorF16 out;
-  const auto c64 = static_cast<std::uint64_t>(sample.channels);
-  const auto h64 = static_cast<std::uint64_t>(sample.height);
-  const auto w64 = static_cast<std::uint64_t>(sample.width);
-  const bool chw = layout == CamLayout::kCHW;
-  out.shape = chw ? std::vector<std::uint64_t>{c64, h64, w64}
-                  : std::vector<std::uint64_t>{h64, w64, c64};
-  out.values.resize(sample.value_count());
-  out.byte_labels = sample.labels;
-
+  CamOutput out(sample.channels, sample.height, sample.width, layout,
+                sample.labels);
   for (int c = 0; c < sample.channels; ++c) {
     const float* plane =
         sample.image.data() + static_cast<std::size_t>(c) * sample.pixel_count();
-    ChannelStats cs;
-    if (normalize) {
-      double sum = 0;
-      for (std::size_t i = 0; i < sample.pixel_count(); ++i) sum += plane[i];
-      const double mean = sum / static_cast<double>(sample.pixel_count());
-      double var = 0;
-      for (std::size_t i = 0; i < sample.pixel_count(); ++i) {
-        const double d = plane[i] - mean;
-        var += d * d;
-      }
-      var /= static_cast<double>(sample.pixel_count());
-      cs = {static_cast<float>(mean),
-            static_cast<float>(1.0 / std::sqrt(std::max(var, 1e-12)))};
-    }
+    const ChannelStats cs =
+        normalize ? channel_stats(plane, sample.pixel_count()) : ChannelStats{};
     for (int y = 0; y < sample.height; ++y) {
-      for (int x = 0; x < sample.width; ++x) {
-        const float v = plane[static_cast<std::size_t>(y) * sample.width + x];
-        const Half h = emit(v, cs, normalize);
-        const std::size_t idx =
-            chw ? (static_cast<std::size_t>(c) * sample.height + y) *
-                          sample.width +
-                      x
-                : (static_cast<std::size_t>(y) * sample.width + x) *
-                          sample.channels +
-                      c;
-        out.values[idx] = h;
+      const float* row = plane + static_cast<std::size_t>(y) * out.width;
+      Half* dst = out.line(c, y);
+      // Scalar per-value emit (same bits as emit_line): the baseline's cost
+      // calibrates the step model's unmodified-loader profile (measure.cpp).
+      for (std::size_t x = 0; x < out.width; ++x) {
+        dst[x * out.stride] =
+            Half(normalize ? (row[x] - cs.mean) * cs.inv_std : row[x]);
       }
     }
   }
-  return out;
+  return std::move(out.tensor);
 }
 
 Bytes CamCodec::encode(ByteSpan raw_sample) const {

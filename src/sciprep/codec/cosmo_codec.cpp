@@ -1,5 +1,7 @@
 #include "sciprep/codec/cosmo_codec.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <unordered_map>
@@ -73,10 +75,24 @@ std::uint64_t rle_stream_bytes(const std::vector<RleRun>& runs, int key_width) {
   return 4 + runs.size() * (4ull + static_cast<std::uint64_t>(key_width));
 }
 
-/// The fused table transform: count -> (optionally log1p) -> FP16.
-Half transform_count(std::int32_t count, bool log1p) {
+/// The fused table transform, in FP32: count -> (optionally log1p).
+float transform_count(std::int32_t count, bool log1p) {
   const auto x = static_cast<float>(count);
-  return Half(log1p ? std::log1p(x) : x);
+  return log1p ? std::log1p(x) : x;
+}
+
+/// Transform `n` counts, `dst[i]` from `count(i)`, and emit them through the
+/// FP16 span convert in stack-sized chunks.
+template <class Count>
+void emit_counts(Count&& count, std::size_t n, bool log1p, Half* dst) {
+  std::array<float, 256> f{};
+  for (std::size_t i = 0; i < n; i += f.size()) {
+    const std::size_t m = std::min(f.size(), n - i);
+    for (std::size_t j = 0; j < m; ++j) {
+      f[j] = transform_count(count(i + j), log1p);
+    }
+    fp32_to_fp16_n(f.data(), dst + i, m);
+  }
 }
 
 }  // namespace
@@ -284,9 +300,8 @@ std::int32_t load_table_count(const std::uint8_t* table_bytes, std::size_t i) {
 /// groups only — three orders of magnitude fewer values than the volume.
 std::vector<Half> build_fp16_table(const ParsedBlock& b, bool log1p) {
   std::vector<Half> table(static_cast<std::size_t>(b.group_count) * kR);
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    table[i] = transform_count(load_table_count(b.table.data(), i), log1p);
-  }
+  emit_counts([&](std::size_t i) { return load_table_count(b.table.data(), i); },
+              table.size(), log1p, table.data());
   return table;
 }
 
@@ -374,14 +389,16 @@ TensorF16 CosmoCodec::decode_sample_gpu(ByteSpan encoded,
     const bool log1p = p.log1p;
     gpu.launch((table_values + sim::Warp::kLanes - 1) / sim::Warp::kLanes,
                [&](sim::Warp& warp) {
+                 const std::size_t first = warp.id() * sim::Warp::kLanes;
+                 std::array<float, sim::Warp::kLanes> f{};
                  warp.lanes([&](int lane) {
-                   const std::size_t i =
-                       warp.id() * sim::Warp::kLanes +
-                       static_cast<std::size_t>(lane);
+                   const std::size_t i = first + static_cast<std::size_t>(lane);
                    if (i >= table_values) return;
-                   table[i] =
+                   f[static_cast<std::size_t>(lane)] =
                        transform_count(load_table_count(raw_table, i), log1p);
                  });
+                 fp32_to_fp16_n(f.data(), table.data() + first,
+                                std::min(f.size(), table_values - first));
                  warp.count_read(sim::Warp::kLanes * sizeof(std::int32_t));
                  warp.count_write(sim::Warp::kLanes * sizeof(Half));
                });
@@ -493,11 +510,10 @@ TensorF16 CosmoCodec::reference_preprocess_sample(const io::CosmoSample& sample,
   out.shape = {dim, dim, dim, kR};
   out.values.resize(sample.counts.size());
   out.float_labels.assign(sample.params.begin(), sample.params.end());
-  // Baseline path: the full 8M-value volume goes through log1p + cast, one
-  // value at a time — no unique-value factoring.
-  for (std::size_t i = 0; i < sample.counts.size(); ++i) {
-    out.values[i] = transform_count(sample.counts[i], log1p);
-  }
+  // Baseline path: every value of the full 8M-value volume goes through
+  // log1p + cast — no unique-value factoring.
+  emit_counts([&](std::size_t i) { return sample.counts[i]; },
+              sample.counts.size(), log1p, out.values.data());
   return out;
 }
 

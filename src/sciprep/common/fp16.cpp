@@ -3,12 +3,44 @@
 #include <bit>
 #include <cstdint>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace sciprep {
 
 namespace {
 constexpr std::uint32_t kF32SignMask = 0x8000'0000u;
 constexpr int kF32ExpBias = 127;
 constexpr int kF16ExpBias = 15;
+
+// Hardware span convert: F16C's VCVTPS2PH with the round-to-nearest-even
+// immediate matches fp32_to_fp16_bits on every input, including NaNs (it
+// keeps the top payload bits and sets the quiet bit, as the scalar path
+// does). Detected once; the scalar loop is the fallback.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SCIPREP_FP16_HW 1
+
+__attribute__((target("f16c,avx"))) void fp32_to_fp16_n_f16c(
+    const float* src, Half* dst, std::size_t n) noexcept {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i h =
+        _mm256_cvtps_ph(_mm256_loadu_ps(src + i), _MM_FROUND_TO_NEAREST_INT);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), h);
+  }
+  for (; i < n; ++i) {
+    dst[i] = Half::from_bits(_cvtss_sh(src[i], _MM_FROUND_TO_NEAREST_INT));
+  }
+}
+
+bool fp16_hw_available() noexcept {
+  static const bool available =
+      __builtin_cpu_supports("avx") && __builtin_cpu_supports("f16c");
+  return available;
+}
+#endif
+
 }  // namespace
 
 std::uint16_t fp32_to_fp16_bits(float value) noexcept {
@@ -94,6 +126,18 @@ float fp16_bits_to_fp32(std::uint16_t bits) noexcept {
   }
   const std::uint32_t exp32 = exp + (kF32ExpBias - kF16ExpBias);
   return std::bit_cast<float>(sign | (exp32 << 23) | (mant << 13));
+}
+
+void fp32_to_fp16_n(const float* src, Half* dst, std::size_t n) noexcept {
+#ifdef SCIPREP_FP16_HW
+  if (fp16_hw_available()) {
+    fp32_to_fp16_n_f16c(src, dst, n);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = Half::from_bits(fp32_to_fp16_bits(src[i]));
+  }
 }
 
 }  // namespace sciprep

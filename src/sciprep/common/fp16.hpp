@@ -1,12 +1,22 @@
-// Software IEEE 754 binary16 ("half") support.
+// IEEE 754 binary16 ("half") support.
 //
 // The paper's decoders emit half-precision samples to feed mixed-precision
-// training; no hardware on the evaluation host is assumed to support FP16, so
-// conversions are implemented in portable integer arithmetic with
-// round-to-nearest-even, full denormal support, and Inf/NaN propagation.
+// training. The scalar conversions are portable integer arithmetic with
+// round-to-nearest-even, full denormal support, and Inf/NaN propagation
+// (NaNs keep their top payload bits and come out quiet). They define the
+// conversion every other path must reproduce bit for bit.
+//
+// Decoders emit whole lines and tables through the span convert
+// fp32_to_fp16_n. It picks its implementation once at runtime: on x86-64
+// CPUs with F16C it converts eight values per instruction (VCVTPS2PH,
+// round-to-nearest-even immediate), otherwise it loops over the scalar
+// conversion. The two give identical bits for every one of the 2^32 float
+// inputs, NaN payloads included, so decoded output does not depend on the
+// host.
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -74,6 +84,10 @@ class Half {
 };
 
 static_assert(sizeof(Half) == 2);
+
+/// Convert `n` binary32 values to binary16: `dst[i]` gets exactly the bits
+/// of fp32_to_fp16_bits(src[i]). Uses F16C when the CPU has it.
+void fp32_to_fp16_n(const float* src, Half* dst, std::size_t n) noexcept;
 
 /// Largest finite half value (65504).
 inline constexpr float kHalfMax = 65504.0F;

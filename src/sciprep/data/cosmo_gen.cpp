@@ -1,5 +1,6 @@
 #include "sciprep/data/cosmo_gen.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -121,7 +122,10 @@ io::CosmoSample CosmoGenerator::generate(std::uint64_t index) const {
       const double mean =
           norm[static_cast<std::size_t>(r)] *
           std::pow(static_cast<double>(rho), gamma[static_cast<std::size_t>(r)]);
-      sample.counts[out++] = static_cast<std::int32_t>(rng.poisson(mean));
+      // Clamp after the draw (keeps the RNG stream) to the uint16 range
+      // the serialized histograms store.
+      sample.counts[out++] = static_cast<std::int32_t>(
+          std::min<std::uint32_t>(rng.poisson(mean), 65535));
     }
   }
   return sample;

@@ -4,7 +4,9 @@
 # name/value/unit/kind fields every record promises. Covers bench_util's
 # flag parsing and BenchReporter::write together.
 #
-# Usage: cmake -DBENCH=<path> -DWORK_DIR=<dir> -P bench_json_smoke.cmake
+# Usage: cmake -DBENCH=<path> -DWORK_DIR=<dir> [-DBENCH_ARGS=<a;b;...>]
+#        -P bench_json_smoke.cmake
+# BENCH_ARGS are the bench's positional knobs, passed before --json-out.
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
 if(NOT DEFINED BENCH OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "bench_json_smoke: pass -DBENCH=... -DWORK_DIR=...")
@@ -16,7 +18,7 @@ set(record ${WORK_DIR}/record.bench.json)
 file(REMOVE ${record})
 
 execute_process(
-  COMMAND ${BENCH} --json-out ${record}
+  COMMAND ${BENCH} ${BENCH_ARGS} --json-out ${record}
   WORKING_DIRECTORY ${WORK_DIR}
   RESULT_VARIABLE rc
   OUTPUT_QUIET)

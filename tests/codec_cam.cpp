@@ -1,12 +1,14 @@
 // Tests for the DeepCAM differential codec: bounded lossy error, line mode
 // selection, normalization fusion, layout (transpose) fusion, GPU/CPU
-// equivalence, label losslessness, corruption rejection.
+// equivalence, label losslessness, corruption rejection, golden decode digests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 #include "sciprep/codec/cam_codec.hpp"
+#include "sciprep/common/crc.hpp"
 #include "sciprep/common/error.hpp"
 #include "sciprep/common/rng.hpp"
 #include "sciprep/data/cam_gen.hpp"
@@ -315,6 +317,59 @@ TEST(CamCodec, PluginInterfaceWorksEndToEnd) {
   EXPECT_LT(fraction_above_rel_error(ref_floats, decoded.values, 0.10), 0.10);
 }
 
+/// CRC32C of a tensor's FP16 bits, for pinning decode output.
+std::uint32_t fp16_digest(const TensorF16& t) {
+  return crc32c(ByteSpan(reinterpret_cast<const std::uint8_t*>(t.values.data()),
+                         t.values.size() * sizeof(Half)));
+}
+
+// Golden decode digests, recorded from the scalar per-value decoder. The
+// reconstruction and the FP16 emit may change implementation (table-driven
+// exponents, a hardware span convert), never a bit of output.
+struct CamGolden {
+  CamLayout layout;
+  bool normalize;
+  std::uint32_t decode;     // decode_sample_cpu and decode_sample_gpu
+  std::uint32_t reference;  // reference_preprocess_sample
+};
+
+constexpr CamGolden kCamGolden[] = {
+    {CamLayout::kCHW, true, 0x399ecf52u, 0x75e99432u},
+    {CamLayout::kCHW, false, 0x1d44139fu, 0x755d5dd2u},
+    {CamLayout::kHWC, true, 0xcccd0e9au, 0xedff5342u},
+    {CamLayout::kHWC, false, 0xf0d4b0c9u, 0xd7984301u},
+};
+
+TEST(CamCodec, GoldenDecodeDigests) {
+  // All 16 channel kinds, so normalize-off overflows pressure to FP16 Inf;
+  // dense cyclones for raw lines, and one forced constant line.
+  data::CamGenConfig cfg;
+  cfg.height = 32;
+  cfg.width = 1152;
+  cfg.channels = 16;
+  cfg.seed = 99;
+  cfg.cyclone_rate = 12;
+  io::CamSample sample = data::CamGenerator(cfg).generate(11);
+  std::fill_n(sample.image.begin() + 5 * cfg.width, cfg.width, 2.5F);
+  for (const CamGolden& g : kCamGolden) {
+    SCOPED_TRACE(::testing::Message()
+                 << (g.layout == CamLayout::kCHW ? "CHW" : "HWC")
+                 << " normalize=" << g.normalize);
+    const CamCodec codec({.normalize = g.normalize}, {g.layout});
+    const Bytes encoded = codec.encode_sample(sample);
+    const CamEncodedInfo info = CamCodec::inspect(encoded);
+    EXPECT_GT(info.constant_lines, 0u);
+    EXPECT_GT(info.delta_lines, 0u);
+    EXPECT_GT(info.raw_lines, 0u);
+    EXPECT_EQ(fp16_digest(codec.decode_sample_cpu(encoded)), g.decode);
+    sim::SimGpu gpu({.sm_count = 4, .warps_per_sm = 2});
+    EXPECT_EQ(fp16_digest(codec.decode_sample_gpu(encoded, gpu)), g.decode);
+    EXPECT_EQ(fp16_digest(CamCodec::reference_preprocess_sample(
+                  sample, g.normalize, g.layout)),
+              g.reference);
+  }
+}
+
 // Property sweep: bounded error across samples and image sizes.
 class CamErrorSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
@@ -344,7 +399,7 @@ TEST(CodecRegistry, RegisterAndLookup) {
     registry.register_codec(std::make_unique<CamCodec>());
   }
   EXPECT_EQ(registry.get("cam-delta").name(), "cam-delta");
-  EXPECT_THROW(registry.get("nope"), ConfigError);
+  EXPECT_THROW((void)registry.get("nope"), ConfigError);
   EXPECT_THROW(registry.register_codec(std::make_unique<CamCodec>()),
                ConfigError);  // duplicate
 }

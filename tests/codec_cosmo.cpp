@@ -1,12 +1,14 @@
 // Tests for the CosmoFlow lookup-table codec: exact round trip (FP16 cast is
 // the only precision change), compression ratio, RLE/broadcast handling,
-// multi-table splitting, GPU/CPU decode equivalence, corruption rejection.
+// multi-table splitting, GPU/CPU decode equivalence, corruption rejection,
+// golden decode digests.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
 #include "sciprep/codec/cosmo_codec.hpp"
+#include "sciprep/common/crc.hpp"
 #include "sciprep/common/error.hpp"
 #include "sciprep/common/rng.hpp"
 #include "sciprep/data/cosmo_gen.hpp"
@@ -268,6 +270,33 @@ TEST(CosmoCodec, PluginInterfaceRoundTrips) {
   ASSERT_EQ(via_plugin.values.size(), reference.values.size());
   for (std::size_t i = 0; i < via_plugin.values.size(); ++i) {
     ASSERT_EQ(via_plugin.values[i].bits(), reference.values[i].bits());
+  }
+}
+
+/// CRC32C of a tensor's FP16 bits, for pinning decode output.
+std::uint32_t fp16_digest(const TensorF16& t) {
+  return crc32c(ByteSpan(reinterpret_cast<const std::uint8_t*>(t.values.data()),
+                         t.values.size() * sizeof(Half)));
+}
+
+// Golden decode digests, recorded from the scalar per-value FP16 emit. The
+// decode is lossless up to the cast, so the CPU decode, the GPU decode and
+// the baseline preprocess all share one digest per log1p setting.
+TEST(CosmoCodec, GoldenDecodeDigests) {
+  constexpr struct {
+    bool log1p;
+    std::uint32_t digest;
+  } kGolden[] = {{true, 0xb3613f15u}, {false, 0xd64fdd0cu}};
+  const auto sample = synthetic_sample(32, 9);
+  for (const auto& g : kGolden) {
+    SCOPED_TRACE(::testing::Message() << "log1p=" << g.log1p);
+    const CosmoCodec codec({.fuse_log1p = g.log1p});
+    const Bytes encoded = codec.encode_sample(sample);
+    EXPECT_EQ(fp16_digest(codec.decode_sample_cpu(encoded)), g.digest);
+    sim::SimGpu gpu({.sm_count = 4, .warps_per_sm = 2});
+    EXPECT_EQ(fp16_digest(codec.decode_sample_gpu(encoded, gpu)), g.digest);
+    EXPECT_EQ(fp16_digest(CosmoCodec::reference_preprocess_sample(sample, g.log1p)),
+              g.digest);
   }
 }
 

@@ -6,7 +6,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "sciprep/common/rng.hpp"
 
@@ -120,6 +122,82 @@ TEST(Fp16Property, MonotoneOverPositiveRange) {
     }
     prev_x = x;
     prev_bits = bits;
+  }
+}
+
+/// Run float bit patterns through the span convert in one call and require
+/// every element to equal the scalar conversion.
+void expect_span_matches_scalar(const std::vector<std::uint32_t>& patterns) {
+  std::vector<float> src(patterns.size());
+  std::memcpy(src.data(), patterns.data(), patterns.size() * sizeof(float));
+  std::vector<Half> dst(src.size());
+  fp32_to_fp16_n(src.data(), dst.data(), src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    ASSERT_EQ(dst[i].bits(), fp32_to_fp16_bits(src[i]))
+        << std::hex << "f32 bits 0x" << patterns[i];
+  }
+}
+
+TEST(Fp16Span, StridedSweepMatchesScalar) {
+  std::vector<std::uint32_t> patterns;
+  for (std::uint64_t b = 0; b <= 0xFFFF'FFFFu; b += 65521) {  // prime stride
+    patterns.push_back(static_cast<std::uint32_t>(b));
+  }
+  expect_span_matches_scalar(patterns);
+}
+
+TEST(Fp16Span, ClassBoundariesMatchScalar) {
+  constexpr std::uint32_t kCenters[] = {
+      0x0000'0000u,  // +0
+      0x3380'0000u,  // 2^-24, smallest half denormal
+      0x387F'C000u,  // largest half denormal
+      0x3880'0000u,  // 2^-14, smallest half normal
+      0x3300'0000u,  // 2^-25, the underflow-to-zero edge
+      0x477F'E000u,  // 65504, largest half
+      0x477F'EF00u,  // 65519
+      0x477F'F000u,  // 65520, rounds to Inf
+      0x7F80'0000u,  // Inf; above it the signalling NaNs
+      0x7FC0'0000u,  // quiet NaN
+      0x7FA0'2000u,  // signalling NaN with a payload that survives
+      0x7FC1'2345u,  // quiet NaN with a payload
+      0x7FFF'FFFFu,  // largest NaN
+  };
+  std::vector<std::uint32_t> patterns;
+  for (const std::uint32_t center : kCenters) {
+    for (const std::uint32_t sign : {0u, 0x8000'0000u}) {
+      for (std::uint32_t d = 0; d <= 128; ++d) {
+        patterns.push_back((center | sign) + d - 64);
+      }
+    }
+  }
+  expect_span_matches_scalar(patterns);
+}
+
+TEST(Fp16Span, TailLengthsAndUnalignedPointers) {
+  // Every length through two 8-wide blocks plus a tail, at every element
+  // offset inside a 32-byte line; the guard words around the output must
+  // stay untouched.
+  constexpr std::uint16_t kGuard = 0xA5A5u;
+  for (std::size_t n = 0; n <= 17; ++n) {
+    for (std::size_t src_off = 0; src_off < 8; ++src_off) {
+      for (std::size_t dst_off = 0; dst_off < 8; ++dst_off) {
+        std::vector<float> src(src_off + n);
+        for (std::size_t i = 0; i < n; ++i) {
+          src[src_off + i] = 1.0F / 3.0F * static_cast<float>(i) - 2.5F;
+        }
+        std::vector<Half> dst(dst_off + n + 1, Half::from_bits(kGuard));
+        fp32_to_fp16_n(src.data() + src_off, dst.data() + dst_off, n);
+        for (std::size_t i = 0; i < dst_off; ++i) {
+          ASSERT_EQ(dst[i].bits(), kGuard);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(dst[dst_off + i].bits(),
+                    fp32_to_fp16_bits(src[src_off + i]))
+              << "n=" << n << " i=" << i;
+        }
+        ASSERT_EQ(dst[dst_off + n].bits(), kGuard) << "n=" << n;
+      }
+    }
   }
 }
 

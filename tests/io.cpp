@@ -164,10 +164,10 @@ TEST(TfExample, MissingFeatureThrows) {
   TfExample ex;
   ex.features.emplace("y", Feature::of_floats({1.0F}));
   const TfExample back = TfExample::parse(ex.serialize());
-  EXPECT_THROW(back.bytes_feature("x"), FormatError);
-  EXPECT_THROW(back.float_feature("missing"), FormatError);
+  EXPECT_THROW((void)back.bytes_feature("x"), FormatError);
+  EXPECT_THROW((void)back.float_feature("missing"), FormatError);
   // Wrong kind also throws.
-  EXPECT_THROW(back.int64_feature("y"), FormatError);
+  EXPECT_THROW((void)back.int64_feature("y"), FormatError);
 }
 
 TEST(TfExample, RejectsGarbage) {
@@ -284,7 +284,7 @@ TEST(H5Lite, WrongTypedViewThrows) {
   H5File file;
   std::vector<float> v(4, 1.0F);
   file.add_array<float>("v", DType::kF32, {4}, std::span<const float>(v));
-  EXPECT_THROW(file.dataset("v").as_span<std::uint16_t>(), FormatError);
+  EXPECT_THROW((void)file.dataset("v").as_span<std::uint16_t>(), FormatError);
 }
 
 TEST(CosmoSample, ExampleRoundTrip) {
