@@ -7,6 +7,7 @@
 //   {:.3f}     fixed-point with precision (also e / g)
 //   {:8}       minimum width, right-aligned
 //   {:<8}      minimum width, left-aligned
+//   {:08x}     minimum width, right-aligned, zero-filled (after any sign)
 //   {:8.2f}    width + precision
 //   {:x}       hexadecimal integers
 // Arguments are consumed left to right; excess/missing arguments throw.
@@ -28,6 +29,7 @@ struct Spec {
   int precision = -1;
   char type = 0;        // 0, 'f', 'e', 'g', 'x', 'd'
   bool left_align = false;
+  bool zero_fill = false;
 };
 
 inline Spec parse_spec(std::string_view s) {
@@ -35,6 +37,10 @@ inline Spec parse_spec(std::string_view s) {
   std::size_t i = 0;
   if (i < s.size() && (s[i] == '<' || s[i] == '>')) {
     spec.left_align = s[i] == '<';
+    ++i;
+  }
+  if (i < s.size() && s[i] == '0') {
+    spec.zero_fill = true;
     ++i;
   }
   while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
@@ -69,6 +75,11 @@ inline void pad(std::string& out, const Spec& spec, std::string_view body) {
   if (spec.left_align) {
     out.append(body);
     out.append(fill, ' ');
+  } else if (spec.zero_fill) {
+    const bool sign = !body.empty() && (body[0] == '-' || body[0] == '+');
+    out.append(body.substr(0, sign ? 1 : 0));
+    out.append(fill, '0');
+    out.append(body.substr(sign ? 1 : 0));
   } else {
     out.append(fill, ' ');
     out.append(body);

@@ -7,21 +7,14 @@ namespace sciprep::shard {
 
 namespace {
 
-template <class T>
-ByteSpan as_bytes(const std::vector<T>& v) {
-  return ByteSpan(reinterpret_cast<const std::uint8_t*>(v.data()),
-                  v.size() * sizeof(T));
-}
-
-ByteSpan as_bytes(const std::uint64_t& v) {
+ByteSpan word_bytes(const std::uint64_t& v) {
   return ByteSpan(reinterpret_cast<const std::uint8_t*>(&v), sizeof(v));
 }
 
 }  // namespace
 
-std::uint32_t sample_crc(const codec::TensorF16& tensor) {
-  std::uint32_t crc = 0;
-  crc = crc32c(as_bytes(tensor.shape), crc);
+std::uint32_t sample_crc(const codec::TensorF16& tensor, std::uint32_t seed) {
+  std::uint32_t crc = crc32c(as_bytes(tensor.shape), seed);
   crc = crc32c(as_bytes(tensor.values), crc);
   crc = crc32c(as_bytes(tensor.float_labels), crc);
   crc = crc32c(as_bytes(tensor.byte_labels), crc);
@@ -49,9 +42,9 @@ std::uint32_t GlobalStreamDigest::epoch_digest(std::uint64_t epoch) const {
   if (it == epochs_.end()) return 0;
   std::uint32_t crc = 0;
   for (const auto& [position, sample] : it->second) {
-    crc = crc32c(as_bytes(position), crc);
+    crc = crc32c(word_bytes(position), crc);
     const std::uint64_t widened = sample;
-    crc = crc32c(as_bytes(widened), crc);
+    crc = crc32c(word_bytes(widened), crc);
   }
   return crc;
 }
@@ -60,9 +53,9 @@ std::uint32_t GlobalStreamDigest::stream_digest() const {
   std::uint32_t crc = 0;
   for (const auto& [epoch, entries] : epochs_) {
     (void)entries;
-    crc = crc32c(as_bytes(epoch), crc);
+    crc = crc32c(word_bytes(epoch), crc);
     const std::uint64_t widened = epoch_digest(epoch);
-    crc = crc32c(as_bytes(widened), crc);
+    crc = crc32c(word_bytes(widened), crc);
   }
   return crc;
 }

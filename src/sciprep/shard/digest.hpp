@@ -23,8 +23,10 @@
 namespace sciprep::shard {
 
 /// Content CRC of one decoded sample: shape, values, and both label kinds,
-/// chained — the per-sample analogue of the trainer's per-batch digest.
-[[nodiscard]] std::uint32_t sample_crc(const codec::TensorF16& tensor);
+/// chained onto `seed`. Folding it over a batch's samples gives the
+/// trainer's per-batch digest.
+[[nodiscard]] std::uint32_t sample_crc(const codec::TensorF16& tensor,
+                                       std::uint32_t seed = 0);
 
 class GlobalStreamDigest {
  public:

@@ -7,12 +7,14 @@
 #include <string>
 
 #include "sciprep/apps/benchreport.hpp"
+#include "sciprep/apps/digest_file.hpp"
 #include "sciprep/apps/measure.hpp"
 #include "sciprep/apps/models.hpp"
 #include "sciprep/apps/trainer.hpp"
 #include "sciprep/codec/cam_codec.hpp"
 #include "sciprep/codec/cosmo_codec.hpp"
 #include "sciprep/common/error.hpp"
+#include "sciprep/common/sysio.hpp"
 #include "sciprep/data/cam_gen.hpp"
 #include "sciprep/data/cosmo_gen.hpp"
 #include "sciprep/obs/json.hpp"
@@ -329,6 +331,86 @@ TEST(BenchReport, WallAndSimSecondsStaySeparate) {
   EXPECT_DOUBLE_EQ(record.sim_charged_seconds, 100.0);
   EXPECT_LT(record.wall_seconds, 10.0);  // the snapshot itself is instant
   EXPECT_GE(record.wall_seconds, 0.0);
+}
+
+// ------------------------------------------------------------ digest file --
+
+/// A two-epoch, three-batch run's digest, as the trainer writes it.
+DigestFile reference_digest() {
+  DigestFile file;
+  file.add("B", 0, 0, 0x0744a61fu);
+  file.add("B", 0, 1, 0xc53caf1fu);
+  file.add("B", 1, 0, 0x7a5a2482u);
+  file.footer = "T samples 12 batches 3";
+  return file;
+}
+
+TEST(DigestFile, IdenticalRunsAgree) {
+  EXPECT_TRUE(reference_digest().check(reference_digest(), false).empty());
+}
+
+TEST(DigestFile, ChangedCrcFails) {
+  DigestFile produced = reference_digest();
+  produced.lines[1] = "B 0 1 c53caf1e";
+  const auto failures = produced.check(reference_digest(), false);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("B 0 1 c53caf1e"), std::string::npos);
+  // Resuming does not excuse a changed line.
+  EXPECT_EQ(produced.check(reference_digest(), true).size(), 1u);
+}
+
+TEST(DigestFile, MissingOrExtraKeyFailsOnAFreshRun) {
+  DigestFile missing = reference_digest();
+  missing.lines.erase(missing.lines.begin() + 1);
+  EXPECT_EQ(missing.check(reference_digest(), false).size(), 1u);
+
+  DigestFile extra = reference_digest();
+  extra.add("B", 1, 1, 0x12345678u);
+  const auto failures = extra.check(reference_digest(), false);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("B 1 1"), std::string::npos);
+  // An extra key is never a suffix.
+  EXPECT_EQ(extra.check(reference_digest(), true).size(), 1u);
+}
+
+TEST(DigestFile, SuffixPassesOnlyWhenResumed) {
+  DigestFile suffix = reference_digest();
+  suffix.lines.erase(suffix.lines.begin(), suffix.lines.begin() + 2);
+  EXPECT_TRUE(suffix.check(reference_digest(), true).empty());
+  EXPECT_FALSE(suffix.check(reference_digest(), false).empty());
+}
+
+TEST(DigestFile, ChangedFooterFails) {
+  DigestFile produced = reference_digest();
+  produced.footer = "T samples 11 batches 3";
+  EXPECT_EQ(produced.check(reference_digest(), false).size(), 1u);
+  EXPECT_EQ(produced.check(reference_digest(), true).size(), 1u);
+}
+
+TEST(DigestFile, WriteReadRoundTripsTheExactBytes) {
+  const std::string path = ::testing::TempDir() + "digest_file_roundtrip";
+  reference_digest().write(path);
+  const Bytes bytes = sysio::read_file(path);
+  EXPECT_EQ(std::string(bytes.begin(), bytes.end()),
+            "B 0 0 0744a61f\nB 0 1 c53caf1f\nB 1 0 7a5a2482\n"
+            "T samples 12 batches 3\n");
+  const DigestFile read = DigestFile::read(path);
+  EXPECT_EQ(read.lines, reference_digest().lines);
+  EXPECT_EQ(read.footer, reference_digest().footer);
+  EXPECT_THROW(DigestFile::read(path + ".missing"), IoError);
+}
+
+TEST(DigestFile, StreamLinesFollowEpochThenPosition) {
+  shard::GlobalStreamDigest stream;
+  stream.record(1, 0, 0xau);
+  stream.record(0, 5, 0xbu);
+  stream.record(0, 2, 0xcu);
+  stream.record(2, 0, 0xdu);  // beyond the run's epochs: not listed
+  DigestFile file;
+  file.add_stream("S", stream, 2);
+  EXPECT_EQ(file.lines, (std::vector<std::string>{
+                            "S 0 2 0000000c", "S 0 5 0000000b",
+                            "S 1 0 0000000a"}));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "sciprep/common/buffer.hpp"
 #include "sciprep/common/crc.hpp"
 #include "sciprep/common/error.hpp"
+#include "sciprep/common/format.hpp"
 #include "sciprep/common/rng.hpp"
 #include "sciprep/common/stats.hpp"
 #include "sciprep/common/threadpool.hpp"
@@ -127,6 +128,19 @@ TEST(BitStream, TruncationThrows) {
   BitReader r(bytes);
   EXPECT_EQ(r.get_bits(8), 0x3u);  // full padded byte is available
   EXPECT_THROW(r.get_bits(8), FormatError);
+}
+
+TEST(Format, ZeroFlagFillsWithZeros) {
+  EXPECT_EQ(fmt("{:08x}", 0x744a61fu), "0744a61f");
+  EXPECT_EQ(fmt("{:08x}", 0u), "00000000");
+  EXPECT_EQ(fmt("{:08x}", 0xc53caf1fu), "c53caf1f");
+  EXPECT_EQ(fmt("{:05}", -42), "-0042");
+}
+
+TEST(Format, WidthAlonePadsWithSpaces) {
+  EXPECT_EQ(fmt("{:8x}", 0x744a61fu), " 744a61f");
+  EXPECT_EQ(fmt("{:<6}|", 42), "42    |");
+  EXPECT_EQ(fmt("{:4}", 12345), "12345");
 }
 
 TEST(Crc32, KnownVectors) {

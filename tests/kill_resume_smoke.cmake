@@ -1,5 +1,5 @@
 # Kill-and-resume smoke, driven end to end through the trainer binary
-# (ctest -L guard). Three stages:
+# (ctest -L guard). Four stages:
 #
 #   1. An uninterrupted reference run records per-batch content digests.
 #   2. The same run is repeated with periodic checkpointing and a simulated
@@ -8,6 +8,10 @@
 #   3. A third process resumes from the checkpoint and must deliver the
 #      bit-identical remaining batches and end with the reference run's final
 #      counters (--expect-digest + --validate enforce both).
+#   4. A run under a different injection seed skips different samples, so
+#      its batches and counters differ: --expect-digest must reject it (exit
+#      1). Without this stage a checker that accepted everything
+#      would pass stages 1-3.
 #
 # Usage: cmake -DTRAINER=<path> -DWORK_DIR=<dir> -P kill_resume_smoke.cmake
 if(NOT DEFINED TRAINER OR NOT DEFINED WORK_DIR)
@@ -18,11 +22,11 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 set(common_args
   --workload cosmo --samples 24 --epochs 2 --dim 16 --batch 4 --workers 2
   --placement cpu
-  --inject-corrupt 0.05 --inject-truncate 0.05 --inject-seed 77
-  --fault-policy skip)
+  --inject-corrupt 0.05 --inject-truncate 0.05 --fault-policy skip)
+set(seed_args --inject-seed 77)
 
 execute_process(
-  COMMAND ${TRAINER} ${common_args}
+  COMMAND ${TRAINER} ${common_args} ${seed_args}
           --digest-out ${WORK_DIR}/full.digest --validate
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
@@ -30,7 +34,7 @@ if(NOT rc EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND ${TRAINER} ${common_args}
+  COMMAND ${TRAINER} ${common_args} ${seed_args}
           --checkpoint-out ${WORK_DIR}/checkpoint.bin --checkpoint-every 2
           --kill-after-batches 7
   RESULT_VARIABLE rc)
@@ -39,11 +43,19 @@ if(NOT rc EQUAL 42)
 endif()
 
 execute_process(
-  COMMAND ${TRAINER} ${common_args}
+  COMMAND ${TRAINER} ${common_args} ${seed_args}
           --resume-from ${WORK_DIR}/checkpoint.bin
           --digest-out ${WORK_DIR}/resumed.digest
           --expect-digest ${WORK_DIR}/full.digest --validate
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "resumed run failed the digest/validate check (rc=${rc})")
+endif()
+
+execute_process(
+  COMMAND ${TRAINER} ${common_args} --inject-seed 78
+          --expect-digest ${WORK_DIR}/full.digest
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "a run with different skips must fail the digest check with exit 1, got rc=${rc}")
 endif()
