@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
       Bytes encoded;
       const double enc = timed_ms([&] { encoded = codec.encode_sample(sample); }, 1);
       const double dec =
-          timed_ms([&] { (void)codec.decode_sample_cpu(encoded); });
+          timed_ms([&] { (void)codec.decode_cpu(encoded); });
       const auto info = codec::CosmoCodec::inspect(encoded);
       std::printf("%-34s %-12zu %-10.2f %-12.1f %-12.2f  (%u tables)\n",
                   v.name, encoded.size(),
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     const codec::CosmoCodec fused;
     const Bytes encoded = fused.encode_sample(sample);
     const double plugin_dec =
-        timed_ms([&] { (void)fused.decode_sample_cpu(encoded); });
+        timed_ms([&] { (void)fused.decode_cpu(encoded); });
     const double full_prep = timed_ms(
         [&] { (void)codec::CosmoCodec::reference_preprocess_sample(sample); });
     std::printf(
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
       const Bytes encoded = codec.encode_sample(sample);
       codec::TensorF16 decoded;
       const double dec =
-          timed_ms([&] { decoded = codec.decode_sample_cpu(encoded); });
+          timed_ms([&] { decoded = codec.decode_cpu(encoded); });
       const auto info = codec::CamCodec::inspect(encoded);
       std::printf("%-30s %-12zu %-10.2f %-12.2f %-12.4f %-10llu\n",
                   fmt("segment cap {}", seg_len).c_str(), encoded.size(),
@@ -138,12 +138,12 @@ int main(int argc, char** argv) {
     const codec::CamCodec chw({}, {codec::CamLayout::kCHW});
     const codec::CamCodec hwc({}, {codec::CamLayout::kHWC});
     const Bytes encoded = chw.encode_sample(sample);
-    const double t_chw = timed_ms([&] { (void)chw.decode_sample_cpu(encoded); });
-    const double t_hwc = timed_ms([&] { (void)hwc.decode_sample_cpu(encoded); });
+    const double t_chw = timed_ms([&] { (void)chw.decode_cpu(encoded); });
+    const double t_hwc = timed_ms([&] { (void)hwc.decode_cpu(encoded); });
     sim::SimGpu g1({.sm_count = 16, .warps_per_sm = 4});
     sim::SimGpu g2({.sm_count = 16, .warps_per_sm = 4});
-    (void)chw.decode_sample_gpu(encoded, g1);
-    (void)hwc.decode_sample_gpu(encoded, g2);
+    (void)chw.decode_gpu(encoded, g1);
+    (void)hwc.decode_gpu(encoded, g2);
     std::printf(
         "\nfused transpose: CHW decode %.2f ms, HWC decode %.2f ms; engine "
         "divergence CHW=%llu HWC=%llu (strided stores)\n",

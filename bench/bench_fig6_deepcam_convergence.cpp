@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       apps::Example ex;
       if (decoded) {
         ex.input = apps::input_from_fp16(
-            codec.decode_sample_cpu(codec.encode_sample(sample)));
+            codec.decode_cpu(codec.encode_sample(sample)));
       } else {
         ex.input = apps::cam_input_fp32(sample);
       }

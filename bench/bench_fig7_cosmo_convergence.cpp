@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < nsamples; ++i) {
       const auto sample = gen.generate(static_cast<std::uint64_t>(i));
       apps::Example ex;
-      ex.input = decoded ? apps::cosmo_input_from_fp16(codec.decode_sample_cpu(
+      ex.input = decoded ? apps::cosmo_input_from_fp16(codec.decode_cpu(
                                codec.encode_sample(sample)))
                          : apps::cosmo_input_fp32(sample);
       ex.regression_target.assign(sample.params.begin(), sample.params.end());

@@ -49,7 +49,7 @@ void BM_CosmoDecodeCpu(benchmark::State& state) {
   const codec::CosmoCodec codec;
   const Bytes encoded = codec.encode_sample(sample);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(codec.decode_sample_cpu(encoded));
+    benchmark::DoNotOptimize(codec.decode_cpu(encoded));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(sample.byte_size()));
@@ -62,7 +62,7 @@ void BM_CosmoDecodeGpu(benchmark::State& state) {
   const Bytes encoded = codec.encode_sample(sample);
   sim::SimGpu gpu({.sm_count = 80, .warps_per_sm = 8});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(codec.decode_sample_gpu(encoded, gpu));
+    benchmark::DoNotOptimize(codec.decode_gpu(encoded, gpu));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(sample.byte_size()));
@@ -98,7 +98,7 @@ void BM_CamDecodeCpu(benchmark::State& state) {
   const codec::CamCodec codec;
   const Bytes encoded = codec.encode_sample(sample);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(codec.decode_sample_cpu(encoded));
+    benchmark::DoNotOptimize(codec.decode_cpu(encoded));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(sample.byte_size()));
@@ -112,7 +112,7 @@ void BM_CamDecodeGpu(benchmark::State& state) {
   const Bytes encoded = codec.encode_sample(sample);
   sim::SimGpu gpu({.sm_count = 80, .warps_per_sm = 8});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(codec.decode_sample_gpu(encoded, gpu));
+    benchmark::DoNotOptimize(codec.decode_gpu(encoded, gpu));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(sample.byte_size()));

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
       const Bytes raw = sample.serialize();
       const Bytes encoded = codec.encode_sample(sample);
       const auto info = codec::CamCodec::inspect(encoded);
-      const auto decoded = codec.decode_sample_cpu(encoded);
+      const auto decoded = codec.decode_cpu(encoded);
 
       // Reference: FP32 normalized values.
       std::vector<float> reference(sample.value_count());

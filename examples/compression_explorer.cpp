@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     const double lut_enc = timed([&] { encoded = codec.encode_sample(sample); });
     io::write_file(out_dir + "/sample.cse", encoded);
     const Bytes back = io::read_file(out_dir + "/sample.cse");
-    double lut_dec = timed([&] { (void)codec.decode_sample_cpu(back); });
+    double lut_dec = timed([&] { (void)codec.decode_cpu(back); });
 
     double base_prep = timed(
         [&] { (void)codec::CosmoCodec::reference_preprocess_sample(sample); });
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     const Bytes back = io::read_file(out_dir + "/sample.cae");
     codec::TensorF16 decoded;
     const double dec_ms =
-        timed([&] { decoded = codec.decode_sample_cpu(back); });
+        timed([&] { decoded = codec.decode_cpu(back); });
     const double base_prep = timed(
         [&] { (void)codec::CamCodec::reference_preprocess_sample(sample); });
 

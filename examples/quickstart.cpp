@@ -40,11 +40,11 @@ int main() {
               static_cast<unsigned long long>(info.total_groups));
 
   // 3a. CPU decode (what the CPU-placed DALI plugin does).
-  const codec::TensorF16 on_cpu = codec.decode_sample_cpu(encoded);
+  const codec::TensorF16 on_cpu = codec.decode_cpu(encoded);
 
   // 3b. GPU decode on the warp-lockstep engine (the GPU-placed plugin).
   sim::SimGpu gpu({.sm_count = 80, .warps_per_sm = 8});
-  const codec::TensorF16 on_gpu = codec.decode_sample_gpu(encoded, gpu);
+  const codec::TensorF16 on_gpu = codec.decode_gpu(encoded, gpu);
   const auto& ks = gpu.lifetime_stats();
   std::printf("gpu decode: %llu warps, %s moved, %llu divergent branches\n",
               static_cast<unsigned long long>(ks.warps),

@@ -92,6 +92,34 @@ double time_call(F&& f, int repeat) {
   return (now_seconds() - t0) / repeat;
 }
 
+/// The plugin configs are the same for both workloads: the encoded sample
+/// is at rest, and it decodes either on the host (FP16 to the device) or on
+/// the SimGpu after the transfer.
+void measure_plugin(const codec::SampleCodec& codec, LoaderConfig config,
+                    const std::vector<Bytes>& encoded, std::uint64_t value_count,
+                    sim::WorkloadProfile& p) {
+  const int repeat = static_cast<int>(encoded.size());
+  p.bytes_at_rest = encoded.front().size();
+  if (config == LoaderConfig::kCpuPlugin) {
+    p.bytes_to_device = value_count * 2;  // FP16 decoded on the host
+    p.host_seconds = time_call(
+        [&](int i) {
+          (void)codec.decode_cpu(encoded[static_cast<std::size_t>(i)]);
+        },
+        repeat);
+    return;
+  }
+  p.bytes_to_device = encoded.front().size();  // decode after transfer
+  p.host_seconds = 2e-4;  // file handoff only
+  sim::SimGpu gpu({.sm_count = 80, .warps_per_sm = 8});
+  p.gpu_decode_host_seconds = time_call(
+      [&](int i) {
+        (void)codec.decode_gpu(encoded[static_cast<std::size_t>(i)], gpu);
+      },
+      repeat);
+  p.gpu_decode_bandwidth_bound = gpu.lifetime_stats().bandwidth_bound();
+}
+
 }  // namespace
 
 const char* loader_config_name(LoaderConfig config) {
@@ -178,31 +206,10 @@ MeasuredWorkload measure_cosmo(LoaderConfig config, int dim, int repeat,
           repeat) * kTfStackOverhead;
       break;
     }
-    case LoaderConfig::kCpuPlugin: {
-      p.bytes_at_rest = encoded.front().size();
-      p.bytes_to_device = value_count * 2;  // FP16 decoded on the host
-      p.host_seconds = time_call(
-          [&](int i) {
-            (void)codec.decode_sample_cpu(
-                encoded[static_cast<std::size_t>(i % repeat)]);
-          },
-          repeat);
+    case LoaderConfig::kCpuPlugin:
+    case LoaderConfig::kGpuPlugin:
+      measure_plugin(codec, config, encoded, value_count, p);
       break;
-    }
-    case LoaderConfig::kGpuPlugin: {
-      p.bytes_at_rest = encoded.front().size();
-      p.bytes_to_device = encoded.front().size();  // decode after transfer
-      p.host_seconds = 2e-4;  // file handoff only
-      sim::SimGpu gpu({.sm_count = 80, .warps_per_sm = 8});
-      p.gpu_decode_host_seconds = time_call(
-          [&](int i) {
-            (void)codec.decode_sample_gpu(
-                encoded[static_cast<std::size_t>(i % repeat)], gpu);
-          },
-          repeat);
-      p.gpu_decode_bandwidth_bound = gpu.lifetime_stats().bandwidth_bound();
-      break;
-    }
   }
   m.compression_ratio = static_cast<double>(m.raw_bytes) /
                         static_cast<double>(p.bytes_at_rest);
@@ -263,31 +270,10 @@ MeasuredWorkload measure_cam(LoaderConfig config, int height, int width,
           repeat) * kTorchH5StackOverhead;
       break;
     }
-    case LoaderConfig::kCpuPlugin: {
-      p.bytes_at_rest = encoded.front().size();
-      p.bytes_to_device = value_count * 2;  // FP16 decoded on the host
-      p.host_seconds = time_call(
-          [&](int i) {
-            (void)codec.decode_sample_cpu(
-                encoded[static_cast<std::size_t>(i % repeat)]);
-          },
-          repeat);
+    case LoaderConfig::kCpuPlugin:
+    case LoaderConfig::kGpuPlugin:
+      measure_plugin(codec, config, encoded, value_count, p);
       break;
-    }
-    case LoaderConfig::kGpuPlugin: {
-      p.bytes_at_rest = encoded.front().size();
-      p.bytes_to_device = encoded.front().size();
-      p.host_seconds = 2e-4;
-      sim::SimGpu gpu({.sm_count = 80, .warps_per_sm = 8});
-      p.gpu_decode_host_seconds = time_call(
-          [&](int i) {
-            (void)codec.decode_sample_gpu(
-                encoded[static_cast<std::size_t>(i % repeat)], gpu);
-          },
-          repeat);
-      p.gpu_decode_bandwidth_bound = gpu.lifetime_stats().bandwidth_bound();
-      break;
-    }
     case LoaderConfig::kGzip:
       break;  // rejected above
   }

@@ -22,6 +22,10 @@ constexpr std::uint8_t kModeConstant = 0;
 constexpr std::uint8_t kModeRaw16 = 1;
 constexpr std::uint8_t kModeDelta = 2;
 
+/// A line whose delta form needs more than width / kMaxSegmentRatio
+/// segments is considered abrupt and stored raw.
+constexpr std::size_t kMaxSegmentRatio = 8;
+
 /// One quantized difference: sign, intrinsic exponent, 4-bit mantissa.
 /// The encoded byte stores the exponent as an offset from the segment's
 /// minimum exponent (3 bits), so the intrinsic exponent is what segmentation
@@ -207,8 +211,7 @@ LinePlan plan_line(std::span<const float> line, const CamEncodeOptions& opt) {
       2 + plan.segments.size() * 8 + plan.deltas.size();
   const std::size_t raw_bytes = line.size() * 2;
   const bool too_fragmented =
-      plan.segments.size() >
-      line.size() / static_cast<std::size_t>(opt.max_segment_ratio);
+      plan.segments.size() > line.size() / kMaxSegmentRatio;
   const bool too_lossy = significant_errors > line.size() / 50;  // > 2%
   if (too_fragmented || too_lossy || delta_bytes >= raw_bytes) {
     plan.mode = kModeRaw16;
@@ -296,6 +299,9 @@ struct ParsedCam {
   std::vector<ParsedLine> lines;
 };
 
+/// The one validation point of the format, short of the delta segments
+/// that reconstruct_delta checks: every schedule trusts the lines' modes
+/// and the constant and raw bodies' sizes.
 ParsedCam parse_cam(ByteSpan encoded) {
   ByteReader in(encoded);
   if (in.get<std::uint32_t>() != kMagic) {
@@ -361,6 +367,7 @@ ParsedCam parse_cam(ByteSpan encoded) {
     throw_format("cam codec: {} trailing bytes", in.remaining());
   }
   p.lines.resize(line_count);
+  const auto raw_line_bytes = static_cast<std::size_t>(p.width) * sizeof(Half);
   for (std::uint32_t i = 0; i < line_count; ++i) {
     if (offsets[i + 1] < offsets[i] || offsets[i + 1] > payload.size()) {
       throw_format("cam codec: line {} offsets out of order", i);
@@ -369,7 +376,17 @@ ParsedCam parse_cam(ByteSpan encoded) {
     if (body.empty()) {
       throw_format("cam codec: empty line {}", i);
     }
-    p.lines[i] = {body[0], body.subspan(1)};
+    const std::uint8_t mode = body[0];
+    body = body.subspan(1);
+    // Delta lines vary in size; reconstruct_delta checks their segments.
+    const bool bad_size =
+        (mode == kModeConstant && body.size() != sizeof(float)) ||
+        (mode == kModeRaw16 && body.size() != raw_line_bytes);
+    if (mode > kModeDelta || bad_size) {
+      throw_format("cam codec: line {} has mode {} and {} bytes", i, mode,
+                   body.size());
+    }
+    p.lines[i] = {mode, body};
   }
   return p;
 }
@@ -437,26 +454,18 @@ void decode_line(const ParsedLine& line, std::size_t width,
                  std::size_t stride) {
   float* recon = line_scratch(width).f32.data();
   switch (line.mode) {
-    case kModeConstant: {
-      ByteReader in(line.body);
-      std::fill_n(recon, width, in.get<float>());
+    case kModeConstant:
+      std::fill_n(recon, width, ByteReader(line.body).get<float>());
       break;
-    }
     case kModeRaw16:
-      if (line.body.size() != width * sizeof(Half)) {
-        throw_format("cam codec: raw line has {} bytes for width {}",
-                     line.body.size(), width);
-      }
       for (std::size_t x = 0; x < width; ++x) {
         std::memcpy(dst + x * stride, line.body.data() + x * sizeof(Half),
                     sizeof(Half));
       }
       return;
-    case kModeDelta:
+    default:  // kModeDelta, the only other mode parse_cam admits
       reconstruct_delta(line.body, width, recon);
       break;
-    default:
-      throw_format("cam codec: bad line mode {}", line.mode);
   }
   emit_line(recon, width, stats, normalize, dst, stride);
 }
@@ -496,8 +505,7 @@ struct CamOutput {
 CamCodec::CamCodec(CamEncodeOptions encode_options,
                    CamDecodeOptions decode_options)
     : encode_options_(encode_options), decode_options_(decode_options) {
-  if (encode_options_.max_segment_ratio < 2 ||
-      encode_options_.max_segment_length < 2 ||
+  if (encode_options_.max_segment_length < 2 ||
       encode_options_.max_segment_length > 65535) {
     throw ConfigError("cam codec: invalid segmentation options");
   }
@@ -590,7 +598,9 @@ Bytes CamCodec::encode_sample(const io::CamSample& sample) const {
   return std::move(out).take();
 }
 
-TensorF16 CamCodec::decode_sample_cpu(ByteSpan encoded) const {
+TensorF16 CamCodec::decode_cpu(ByteSpan encoded) const {
+  SCIPREP_OBS_SPAN("codec.cam.decode_cpu", "codec");
+  SCIPREP_OBS_COUNT("codec.cam.decode_bytes_in_total", encoded.size());
   ParsedCam p = parse_cam(encoded);
   CamOutput out(p.channels, p.height, p.width, decode_options_.layout,
                 std::move(p.labels));
@@ -605,8 +615,9 @@ TensorF16 CamCodec::decode_sample_cpu(ByteSpan encoded) const {
   return std::move(out.tensor);
 }
 
-TensorF16 CamCodec::decode_sample_gpu(ByteSpan encoded,
-                                      sim::SimGpu& gpu) const {
+TensorF16 CamCodec::decode_gpu(ByteSpan encoded, sim::SimGpu& gpu) const {
+  SCIPREP_OBS_SPAN("codec.cam.decode_gpu", "codec");
+  SCIPREP_OBS_COUNT("codec.cam.decode_bytes_in_total", encoded.size());
   ParsedCam p = parse_cam(encoded);
   CamOutput out(p.channels, p.height, p.width, decode_options_.layout,
                 std::move(p.labels));
@@ -640,11 +651,7 @@ TensorF16 CamCodec::decode_sample_gpu(ByteSpan encoded,
         warp.count_read(sizeof(float));
         break;
       }
-      case kModeRaw16: {
-        if (line.body.size() != out.width * sizeof(Half)) {
-          throw_format("cam codec: raw line has {} bytes for width {}",
-                       line.body.size(), width);
-        }
+      case kModeRaw16:
         for (int x0 = 0; x0 < width; x0 += sim::Warp::kLanes) {
           warp.lanes([&](int lane) {
             const int x = x0 + lane;
@@ -656,7 +663,6 @@ TensorF16 CamCodec::decode_sample_gpu(ByteSpan encoded,
         }
         warp.count_read(out.width * sizeof(Half));
         break;
-      }
       case kModeDelta: {
         // Serial reconstruction: one lane effectively works while the warp
         // waits — the divergence cost the paper's hierarchical scheme
@@ -669,8 +675,6 @@ TensorF16 CamCodec::decode_sample_gpu(ByteSpan encoded,
         warp.count_read(line.body.size());
         break;
       }
-      default:
-        throw_format("cam codec: bad line mode {}", line.mode);
     }
 
     // Flush: lane-parallel stores; CHW is coalesced, HWC strides by channel
@@ -691,24 +695,15 @@ TensorF16 CamCodec::decode_sample_gpu(ByteSpan encoded,
 CamEncodedInfo CamCodec::inspect(ByteSpan encoded) {
   const ParsedCam p = parse_cam(encoded);
   CamEncodedInfo info;
-  info.label_bytes = p.labels.size();
   for (const ParsedLine& line : p.lines) {
     info.payload_bytes += line.body.size() + 1;
-    switch (line.mode) {
-      case kModeConstant:
-        ++info.constant_lines;
-        break;
-      case kModeRaw16:
-        ++info.raw_lines;
-        break;
-      case kModeDelta: {
-        ++info.delta_lines;
-        ByteReader in(line.body);
-        info.segments += in.get<std::uint16_t>();
-        break;
-      }
-      default:
-        throw_format("cam codec: bad line mode {}", line.mode);
+    if (line.mode == kModeConstant) {
+      ++info.constant_lines;
+    } else if (line.mode == kModeRaw16) {
+      ++info.raw_lines;
+    } else {
+      ++info.delta_lines;
+      info.segments += ByteReader(line.body).get<std::uint16_t>();
     }
   }
   return info;
@@ -744,18 +739,6 @@ Bytes CamCodec::encode(ByteSpan raw_sample) const {
   Bytes out = encode_sample(io::CamSample::parse(raw_sample));
   SCIPREP_OBS_COUNT("codec.cam.encode_bytes_out_total", out.size());
   return out;
-}
-
-TensorF16 CamCodec::decode_cpu(ByteSpan encoded) const {
-  SCIPREP_OBS_SPAN("codec.cam.decode_cpu", "codec");
-  SCIPREP_OBS_COUNT("codec.cam.decode_bytes_in_total", encoded.size());
-  return decode_sample_cpu(encoded);
-}
-
-TensorF16 CamCodec::decode_gpu(ByteSpan encoded, sim::SimGpu& gpu) const {
-  SCIPREP_OBS_SPAN("codec.cam.decode_gpu", "codec");
-  SCIPREP_OBS_COUNT("codec.cam.decode_bytes_in_total", encoded.size());
-  return decode_sample_gpu(encoded, gpu);
 }
 
 TensorF16 CamCodec::reference_preprocess(ByteSpan raw_sample) const {

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sciprep/codec/codec.hpp"
 #include "sciprep/io/samples.hpp"
@@ -41,9 +40,6 @@ struct CamEncodeOptions {
   /// computed at encode time and stored in the header. Required for FP16
   /// output when channels live at 1e5-scale magnitudes.
   bool normalize = true;
-  /// A line whose delta form needs more than width/max_segment_ratio
-  /// segments is considered abrupt and stored raw.
-  int max_segment_ratio = 8;
   /// Maximum values covered by one segment (bounds the error horizon and the
   /// serial run a GPU warp must walk).
   int max_segment_length = 256;
@@ -60,7 +56,6 @@ struct CamEncodedInfo {
   std::uint64_t delta_lines = 0;
   std::uint64_t segments = 0;
   std::uint64_t payload_bytes = 0;
-  std::uint64_t label_bytes = 0;
 };
 
 class CamCodec final : public SampleCodec {
@@ -70,9 +65,6 @@ class CamCodec final : public SampleCodec {
 
   // Typed API ---------------------------------------------------------------
   [[nodiscard]] Bytes encode_sample(const io::CamSample& sample) const;
-  [[nodiscard]] TensorF16 decode_sample_cpu(ByteSpan encoded) const;
-  [[nodiscard]] TensorF16 decode_sample_gpu(ByteSpan encoded,
-                                            sim::SimGpu& gpu) const;
   [[nodiscard]] static CamEncodedInfo inspect(ByteSpan encoded);
 
   /// Baseline preprocessing: FP32 image -> per-channel normalize -> FP16,
@@ -91,13 +83,6 @@ class CamCodec final : public SampleCodec {
                                      sim::SimGpu& gpu) const override;
   [[nodiscard]] TensorF16 reference_preprocess(
       ByteSpan raw_sample) const override;
-
-  [[nodiscard]] const CamEncodeOptions& encode_options() const noexcept {
-    return encode_options_;
-  }
-  [[nodiscard]] const CamDecodeOptions& decode_options() const noexcept {
-    return decode_options_;
-  }
 
  private:
   CamEncodeOptions encode_options_;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,20 +57,6 @@ class SampleCodec {
   /// convergence comparisons.
   [[nodiscard]] virtual TensorF16 reference_preprocess(
       ByteSpan raw_sample) const = 0;
-};
-
-/// Process-wide codec registry (plugins register by name, as with DALI).
-class CodecRegistry {
- public:
-  static CodecRegistry& instance();
-
-  void register_codec(std::unique_ptr<SampleCodec> codec);
-  /// Throws ConfigError for unknown names.
-  [[nodiscard]] const SampleCodec& get(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  std::vector<std::unique_ptr<SampleCodec>> codecs_;
 };
 
 /// Fraction of values whose decoded result deviates from `reference` by more

@@ -200,6 +200,13 @@ Bytes CosmoCodec::encode_sample(const io::CosmoSample& sample) const {
 
 namespace {
 
+/// One broadcast run of an RLE block, at its absolute voxel position.
+struct RleSpan {
+  std::uint64_t voxel;
+  std::uint32_t length;
+  std::uint32_t key;
+};
+
 /// Parsed views into an encoded sample (no copies of bulk data).
 struct ParsedBlock {
   std::uint64_t voxel_begin = 0;
@@ -209,7 +216,7 @@ struct ParsedBlock {
   bool rle = false;
   ByteSpan table;   // group_count * 4 * i32
   ByteSpan stream;  // raw keys or rle runs
-  std::uint32_t run_count = 0;  // rle only
+  std::vector<RleSpan> runs;  // rle only
 };
 
 struct ParsedCosmo {
@@ -219,6 +226,60 @@ struct ParsedCosmo {
   std::vector<ParsedBlock> blocks;
 };
 
+std::uint32_t read_key(const std::uint8_t* stream, std::size_t i,
+                       int key_width) {
+  if (key_width == 1) return stream[i];
+  std::uint16_t k;
+  std::memcpy(&k, stream + i * 2, 2);
+  return k;
+}
+
+/// The largest of a raw stream's `n` keys. The fixed-size inner loop lets
+/// the compiler vectorize the reduction at the default optimization level.
+template <class Key>
+std::uint32_t max_raw_key(const std::uint8_t* stream, std::uint64_t n) {
+  const auto key = [stream](std::uint64_t i) {
+    Key k;
+    std::memcpy(&k, stream + i * sizeof(Key), sizeof(Key));
+    return k;
+  };
+  constexpr std::uint64_t kChunk = 64;
+  Key m = 0;
+  std::uint64_t i = 0;
+  for (; i + kChunk <= n; i += kChunk) {
+    for (std::uint64_t j = 0; j < kChunk; ++j) m = std::max(m, key(i + j));
+  }
+  for (; i < n; ++i) m = std::max(m, key(i));
+  return m;
+}
+
+/// Parse an RLE block's runs and check that they tile [voxel_begin,
+/// voxel_end) exactly. Returns the largest key.
+std::uint32_t parse_runs(ParsedBlock& b, std::uint32_t run_count) {
+  ByteReader in(b.stream);
+  b.runs.reserve(run_count);
+  std::uint64_t voxel = b.voxel_begin;
+  std::uint32_t max_key = 0;
+  for (std::uint32_t r = 0; r < run_count; ++r) {
+    const auto length = in.get<std::uint32_t>();
+    const std::uint32_t key =
+        b.key_width == 1 ? in.get<std::uint8_t>() : in.get<std::uint16_t>();
+    if (voxel + length > b.voxel_end) {
+      throw_format("cosmo codec: RLE overruns block at voxel {}", voxel);
+    }
+    b.runs.push_back({voxel, length, key});
+    voxel += length;
+    max_key = std::max(max_key, key);
+  }
+  if (voxel != b.voxel_end) {
+    throw_format("cosmo codec: RLE covers {} of {} voxels", voxel,
+                 b.voxel_end);
+  }
+  return max_key;
+}
+
+/// The one validation point of the format: a sample that parses decodes on
+/// every schedule without further checks.
 ParsedCosmo parse_cosmo(ByteSpan encoded) {
   ByteReader in(encoded);
   if (in.get<std::uint32_t>() != kMagic) {
@@ -263,19 +324,30 @@ ParsedCosmo parse_cosmo(ByteSpan encoded) {
     const auto mode = in.get<std::uint8_t>();
     b.table = in.get_bytes(static_cast<std::size_t>(b.group_count) * kR *
                            sizeof(std::int32_t));
+    std::uint32_t max_key = 0;
     if (mode == kStreamRle) {
       b.rle = true;
-      b.run_count = in.get<std::uint32_t>();
-      b.stream = in.get_bytes(static_cast<std::size_t>(b.run_count) *
+      const auto run_count = in.get<std::uint32_t>();
+      b.stream = in.get_bytes(static_cast<std::size_t>(run_count) *
                               (4u + static_cast<std::uint32_t>(b.key_width)));
+      max_key = parse_runs(b, run_count);
     } else if (mode == kStreamRaw) {
-      b.stream = in.get_bytes(
-          static_cast<std::size_t>(b.voxel_end - b.voxel_begin) *
-          static_cast<std::size_t>(b.key_width));
+      const std::uint64_t count = b.voxel_end - b.voxel_begin;
+      b.stream = in.get_bytes(static_cast<std::size_t>(count) *
+                              static_cast<std::size_t>(b.key_width));
+      max_key = b.key_width == 1
+                    ? max_raw_key<std::uint8_t>(b.stream.data(), count)
+                    : max_raw_key<std::uint16_t>(b.stream.data(), count);
     } else {
       throw_format("cosmo codec: bad stream mode {}", mode);
     }
-    p.blocks.push_back(b);
+    // One max-reduce per block: every key the schedules gather indexes the
+    // table.
+    if (max_key >= b.group_count) {
+      throw_format("cosmo codec: key {} out of table range {}", max_key,
+                   b.group_count);
+    }
+    p.blocks.push_back(std::move(b));
   }
   if (expect_begin != voxels) {
     throw_format("cosmo codec: blocks cover {} of {} voxels", expect_begin,
@@ -305,63 +377,40 @@ std::vector<Half> build_fp16_table(const ParsedBlock& b, bool log1p) {
   return table;
 }
 
-std::uint32_t read_key(const std::uint8_t* stream, std::size_t i,
-                       int key_width) {
-  if (key_width == 1) return stream[i];
-  std::uint16_t k;
-  std::memcpy(&k, stream + i * 2, 2);
-  return k;
-}
-
-void validate_key(std::uint32_t key, const ParsedBlock& b) {
-  if (key >= b.group_count) {
-    throw_format("cosmo codec: key {} out of table range {}", key,
-                 b.group_count);
-  }
-}
-
-}  // namespace
-
-TensorF16 CosmoCodec::decode_sample_cpu(ByteSpan encoded) const {
-  const ParsedCosmo p = parse_cosmo(encoded);
+/// The decoded tensor's shape and labels, values sized but not yet written.
+TensorF16 cosmo_output(const ParsedCosmo& p) {
   TensorF16 out;
   const auto dim = static_cast<std::uint64_t>(p.dim);
   out.shape = {dim, dim, dim, kR};
   out.values.resize(dim * dim * dim * kR);
   out.float_labels.assign(p.labels.begin(), p.labels.end());
+  return out;
+}
 
+}  // namespace
+
+TensorF16 CosmoCodec::decode_cpu(ByteSpan encoded) const {
+  SCIPREP_OBS_SPAN("codec.cosmo.decode_cpu", "codec");
+  SCIPREP_OBS_COUNT("codec.cosmo.decode_bytes_in_total", encoded.size());
+  const ParsedCosmo p = parse_cosmo(encoded);
+  TensorF16 out = cosmo_output(p);
   for (const ParsedBlock& b : p.blocks) {
     guard::poll_cancellation();  // cancellation point per block
     const std::vector<Half> table = build_fp16_table(b, p.log1p);
     Half* dst = out.values.data() + b.voxel_begin * kR;
     if (b.rle) {
-      ByteReader runs(b.stream);
-      std::uint64_t voxel = b.voxel_begin;
-      for (std::uint32_t r = 0; r < b.run_count; ++r) {
-        const auto length = runs.get<std::uint32_t>();
-        const std::uint32_t key = b.key_width == 1
-                                      ? runs.get<std::uint8_t>()
-                                      : runs.get<std::uint16_t>();
-        validate_key(key, b);
-        if (voxel + length > b.voxel_end) {
-          throw_format("cosmo codec: RLE overruns block at voxel {}", voxel);
-        }
-        const Half* entry = table.data() + static_cast<std::size_t>(key) * kR;
-        for (std::uint32_t i = 0; i < length; ++i) {
+      for (const RleSpan& run : b.runs) {
+        const Half* entry =
+            table.data() + static_cast<std::size_t>(run.key) * kR;
+        for (std::uint32_t i = 0; i < run.length; ++i) {
           std::memcpy(dst, entry, sizeof(Half) * kR);
           dst += kR;
         }
-        voxel += length;
-      }
-      if (voxel != b.voxel_end) {
-        throw_format("cosmo codec: RLE covers {} of {} voxels", voxel,
-                     b.voxel_end);
       }
     } else {
       const std::uint64_t count = b.voxel_end - b.voxel_begin;
       for (std::uint64_t v = 0; v < count; ++v) {
         const std::uint32_t key = read_key(b.stream.data(), v, b.key_width);
-        validate_key(key, b);
         std::memcpy(dst, table.data() + static_cast<std::size_t>(key) * kR,
                     sizeof(Half) * kR);
         dst += kR;
@@ -371,22 +420,17 @@ TensorF16 CosmoCodec::decode_sample_cpu(ByteSpan encoded) const {
   return out;
 }
 
-TensorF16 CosmoCodec::decode_sample_gpu(ByteSpan encoded,
-                                        sim::SimGpu& gpu) const {
+TensorF16 CosmoCodec::decode_gpu(ByteSpan encoded, sim::SimGpu& gpu) const {
+  SCIPREP_OBS_SPAN("codec.cosmo.decode_gpu", "codec");
+  SCIPREP_OBS_COUNT("codec.cosmo.decode_bytes_in_total", encoded.size());
   const ParsedCosmo p = parse_cosmo(encoded);
-  TensorF16 out;
-  const auto dim = static_cast<std::uint64_t>(p.dim);
-  out.shape = {dim, dim, dim, kR};
-  out.values.resize(dim * dim * dim * kR);
-  out.float_labels.assign(p.labels.begin(), p.labels.end());
-
+  TensorF16 out = cosmo_output(p);
   for (const ParsedBlock& b : p.blocks) {
     guard::poll_cancellation();  // cancellation point per block
     // Table construction is itself a small kernel: one lane per table entry.
     std::vector<Half> table(static_cast<std::size_t>(b.group_count) * kR);
     const std::uint8_t* raw_table = b.table.data();
     const std::size_t table_values = table.size();
-    const bool log1p = p.log1p;
     gpu.launch((table_values + sim::Warp::kLanes - 1) / sim::Warp::kLanes,
                [&](sim::Warp& warp) {
                  const std::size_t first = warp.id() * sim::Warp::kLanes;
@@ -395,7 +439,7 @@ TensorF16 CosmoCodec::decode_sample_gpu(ByteSpan encoded,
                    const std::size_t i = first + static_cast<std::size_t>(lane);
                    if (i >= table_values) return;
                    f[static_cast<std::size_t>(lane)] =
-                       transform_count(load_table_count(raw_table, i), log1p);
+                       transform_count(load_table_count(raw_table, i), p.log1p);
                  });
                  fp32_to_fp16_n(f.data(), table.data() + first,
                                 std::min(f.size(), table_values - first));
@@ -405,37 +449,11 @@ TensorF16 CosmoCodec::decode_sample_gpu(ByteSpan encoded,
 
     Half* dst = out.values.data() + b.voxel_begin * kR;
     if (b.rle) {
-      // Broadcast kernel: parse runs once on the "host" side of the launch,
-      // then assign each run to consecutive warps; each lockstep op writes 32
-      // voxels of the same table entry (a pure coalesced broadcast).
-      ByteReader runs_in(b.stream);
-      struct Run {
-        std::uint64_t voxel;
-        std::uint32_t length;
-        std::uint32_t key;
-      };
-      std::vector<Run> runs;
-      runs.reserve(b.run_count);
-      std::uint64_t voxel = b.voxel_begin;
-      for (std::uint32_t r = 0; r < b.run_count; ++r) {
-        const auto length = runs_in.get<std::uint32_t>();
-        const std::uint32_t key = b.key_width == 1
-                                      ? runs_in.get<std::uint8_t>()
-                                      : runs_in.get<std::uint16_t>();
-        validate_key(key, b);
-        if (voxel + length > b.voxel_end) {
-          throw_format("cosmo codec: RLE overruns block at voxel {}", voxel);
-        }
-        runs.push_back({voxel, length, key});
-        voxel += length;
-      }
-      if (voxel != b.voxel_end) {
-        throw_format("cosmo codec: RLE covers {} of {} voxels", voxel,
-                     b.voxel_end);
-      }
-      const std::uint64_t base = b.voxel_begin;
-      gpu.launch(runs.size(), [&](sim::Warp& warp) {
-        const Run& run = runs[warp.id()];
+      // Broadcast kernel: the runs were parsed once on the "host" side; each
+      // run goes to consecutive warps, and each lockstep op writes 32 voxels
+      // of the same table entry (a pure coalesced broadcast).
+      gpu.launch(b.runs.size(), [&](sim::Warp& warp) {
+        const RleSpan& run = b.runs[warp.id()];
         const Half* entry =
             table.data() + static_cast<std::size_t>(run.key) * kR;
         Half* out_base = out.values.data() + run.voxel * kR;
@@ -454,16 +472,12 @@ TensorF16 CosmoCodec::decode_sample_gpu(ByteSpan encoded,
           warp.count_write(batch * sizeof(Half) * kR);
           done += batch;
         }
-        (void)base;
       });
     } else {
       // Gather kernel: lane v reads key[v], looks up 8 bytes, writes 8 bytes
       // — fully coalesced, no divergence (paper §VI: "no dependencies
       // between threads due to the use of single key width per table").
       const std::uint64_t count = b.voxel_end - b.voxel_begin;
-      const std::uint8_t* stream = b.stream.data();
-      const int key_width = b.key_width;
-      const std::uint32_t group_count = b.group_count;
       gpu.launch((count + sim::Warp::kLanes - 1) / sim::Warp::kLanes,
                  [&](sim::Warp& warp) {
                    warp.lanes([&](int lane) {
@@ -471,18 +485,15 @@ TensorF16 CosmoCodec::decode_sample_gpu(ByteSpan encoded,
                          warp.id() * sim::Warp::kLanes +
                          static_cast<std::uint64_t>(lane);
                      if (v >= count) return;
-                     const std::uint32_t key = read_key(stream, v, key_width);
-                     if (key >= group_count) {
-                       throw_format("cosmo codec: key {} out of range {}", key,
-                                    group_count);
-                     }
+                     const std::uint32_t key =
+                         read_key(b.stream.data(), v, b.key_width);
                      std::memcpy(
                          dst + v * kR,
                          table.data() + static_cast<std::size_t>(key) * kR,
                          sizeof(Half) * kR);
                    });
                    warp.count_read(sim::Warp::kLanes *
-                                   (key_width + sizeof(Half) * kR));
+                                   (b.key_width + sizeof(Half) * kR));
                    warp.count_write(sim::Warp::kLanes * sizeof(Half) * kR);
                  });
     }
@@ -523,18 +534,6 @@ Bytes CosmoCodec::encode(ByteSpan raw_sample) const {
   Bytes out = encode_sample(io::CosmoSample::parse(raw_sample));
   SCIPREP_OBS_COUNT("codec.cosmo.encode_bytes_out_total", out.size());
   return out;
-}
-
-TensorF16 CosmoCodec::decode_cpu(ByteSpan encoded) const {
-  SCIPREP_OBS_SPAN("codec.cosmo.decode_cpu", "codec");
-  SCIPREP_OBS_COUNT("codec.cosmo.decode_bytes_in_total", encoded.size());
-  return decode_sample_cpu(encoded);
-}
-
-TensorF16 CosmoCodec::decode_gpu(ByteSpan encoded, sim::SimGpu& gpu) const {
-  SCIPREP_OBS_SPAN("codec.cosmo.decode_gpu", "codec");
-  SCIPREP_OBS_COUNT("codec.cosmo.decode_bytes_in_total", encoded.size());
-  return decode_sample_gpu(encoded, gpu);
 }
 
 TensorF16 CosmoCodec::reference_preprocess(ByteSpan raw_sample) const {

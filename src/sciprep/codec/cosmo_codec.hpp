@@ -17,7 +17,6 @@
 // to the identical FP16 value.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "sciprep/codec/codec.hpp"
@@ -49,10 +48,7 @@ class CosmoCodec final : public SampleCodec {
 
   // Typed API ---------------------------------------------------------------
   [[nodiscard]] Bytes encode_sample(const io::CosmoSample& sample) const;
-  [[nodiscard]] TensorF16 decode_sample_cpu(ByteSpan encoded) const;
-  [[nodiscard]] TensorF16 decode_sample_gpu(ByteSpan encoded,
-                                            sim::SimGpu& gpu) const;
-  /// Parse only the structural header (no voxel work).
+  /// Parse and validate the encoded sample; no decode work.
   [[nodiscard]] static CosmoEncodedInfo inspect(ByteSpan encoded);
 
   /// Baseline preprocessing: log1p + FP16 cast over the full volume, as the
@@ -68,10 +64,6 @@ class CosmoCodec final : public SampleCodec {
                                      sim::SimGpu& gpu) const override;
   [[nodiscard]] TensorF16 reference_preprocess(
       ByteSpan raw_sample) const override;
-
-  [[nodiscard]] const CosmoEncodeOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   CosmoEncodeOptions options_;

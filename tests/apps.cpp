@@ -48,7 +48,7 @@ TEST(Models, Fp32AndFp16ArmsAreClose) {
   const dnn::Tensor fp32 = cosmo_input_fp32(sample);
   const codec::CosmoCodec codec;
   const dnn::Tensor fp16 = cosmo_input_from_fp16(
-      codec.decode_sample_cpu(codec.encode_sample(sample)));
+      codec.decode_cpu(codec.encode_sample(sample)));
   ASSERT_EQ(fp32.size(), fp16.size());
   for (std::size_t i = 0; i < fp32.size(); ++i) {
     // FP16 quantization of log1p(count) in [0, ~10]: absolute gap < 0.005.
@@ -117,7 +117,7 @@ TEST(Trainer, Fp16AndFp32ConvergenceMatch) {
     for (std::uint64_t i = 0; i < 6; ++i) {
       const auto sample = gen.generate(i);
       Example ex;
-      ex.input = fp16 ? cosmo_input_from_fp16(codec.decode_sample_cpu(
+      ex.input = fp16 ? cosmo_input_from_fp16(codec.decode_cpu(
                             codec.encode_sample(sample)))
                       : cosmo_input_fp32(sample);
       ex.regression_target.assign(sample.params.begin(), sample.params.end());

@@ -33,7 +33,7 @@ TEST(CosmoCodec, RoundTripIsExactUpToFp16) {
   const auto sample = synthetic_sample();
   const CosmoCodec codec;
   const Bytes encoded = codec.encode_sample(sample);
-  const TensorF16 decoded = codec.decode_sample_cpu(encoded);
+  const TensorF16 decoded = codec.decode_cpu(encoded);
 
   ASSERT_EQ(decoded.values.size(), sample.counts.size());
   ASSERT_EQ(decoded.shape,
@@ -47,7 +47,7 @@ TEST(CosmoCodec, RoundTripIsExactUpToFp16) {
 TEST(CosmoCodec, LabelsAreLossless) {
   const auto sample = synthetic_sample(32, 3);
   const CosmoCodec codec;
-  const TensorF16 decoded = codec.decode_sample_cpu(codec.encode_sample(sample));
+  const TensorF16 decoded = codec.decode_cpu(codec.encode_sample(sample));
   ASSERT_EQ(decoded.float_labels.size(), 4u);
   for (int p = 0; p < 4; ++p) {
     EXPECT_EQ(decoded.float_labels[static_cast<std::size_t>(p)],
@@ -60,7 +60,7 @@ TEST(CosmoCodec, MatchesReferencePreprocessExactly) {
   // decode(encode(x)) must equal the baseline preprocess bit-for-bit.
   const auto sample = synthetic_sample(16, 5);
   const CosmoCodec codec;
-  const TensorF16 decoded = codec.decode_sample_cpu(codec.encode_sample(sample));
+  const TensorF16 decoded = codec.decode_cpu(codec.encode_sample(sample));
   const TensorF16 reference = CosmoCodec::reference_preprocess_sample(sample);
   ASSERT_EQ(decoded.values.size(), reference.values.size());
   for (std::size_t i = 0; i < decoded.values.size(); ++i) {
@@ -72,9 +72,9 @@ TEST(CosmoCodec, GpuDecodeMatchesCpu) {
   const auto sample = synthetic_sample(32, 1);
   const CosmoCodec codec;
   const Bytes encoded = codec.encode_sample(sample);
-  const TensorF16 cpu = codec.decode_sample_cpu(encoded);
+  const TensorF16 cpu = codec.decode_cpu(encoded);
   sim::SimGpu gpu({.sm_count = 8, .warps_per_sm = 4});
-  const TensorF16 dev = codec.decode_sample_gpu(encoded, gpu);
+  const TensorF16 dev = codec.decode_gpu(encoded, gpu);
   ASSERT_EQ(cpu.values.size(), dev.values.size());
   for (std::size_t i = 0; i < cpu.values.size(); ++i) {
     ASSERT_EQ(cpu.values[i].bits(), dev.values[i].bits()) << "value " << i;
@@ -116,13 +116,13 @@ TEST(CosmoCodec, UniformVolumeUsesBroadcastStream) {
   const CosmoCodec codec;
   const Bytes encoded = codec.encode_sample(sample);
   EXPECT_LT(encoded.size(), 256u);
-  const TensorF16 decoded = codec.decode_sample_cpu(encoded);
+  const TensorF16 decoded = codec.decode_cpu(encoded);
   for (const Half h : decoded.values) {
     ASSERT_EQ(h.bits(), expected_value(3).bits());
   }
   // GPU broadcast path decodes it identically.
   sim::SimGpu gpu({.sm_count = 4, .warps_per_sm = 2});
-  const TensorF16 dev = codec.decode_sample_gpu(encoded, gpu);
+  const TensorF16 dev = codec.decode_gpu(encoded, gpu);
   for (const Half h : dev.values) {
     ASSERT_EQ(h.bits(), expected_value(3).bits());
   }
@@ -135,7 +135,7 @@ TEST(CosmoCodec, RleDisabledStillRoundTrips) {
   CosmoEncodeOptions opt;
   opt.rle = false;
   const CosmoCodec codec(opt);
-  const TensorF16 decoded = codec.decode_sample_cpu(codec.encode_sample(sample));
+  const TensorF16 decoded = codec.decode_cpu(codec.encode_sample(sample));
   for (const Half h : decoded.values) {
     ASSERT_EQ(h.bits(), expected_value(7).bits());
   }
@@ -159,7 +159,7 @@ TEST(CosmoCodec, OneByteKeysForTinyTables) {
   EXPECT_EQ(info.total_groups, 10u);
   // 1-byte keys: stream must be ~1 byte/voxel (RLE may shrink it further).
   EXPECT_LE(info.key_bytes, sample.voxel_count() + 16);
-  const TensorF16 decoded = codec.decode_sample_cpu(encoded);
+  const TensorF16 decoded = codec.decode_cpu(encoded);
   for (std::size_t v = 0; v < sample.voxel_count(); ++v) {
     ASSERT_EQ(decoded.values[v * 4].bits(),
               expected_value(sample.counts[v * 4]).bits());
@@ -183,13 +183,13 @@ TEST(CosmoCodec, SplitsIntoMultipleTablesWhenGroupsOverflow) {
   const Bytes encoded = codec.encode_sample(sample);
   const CosmoEncodedInfo info = CosmoCodec::inspect(encoded);
   EXPECT_GE(info.block_count, 4u);  // 1024 groups / 256 per block
-  const TensorF16 decoded = codec.decode_sample_cpu(encoded);
+  const TensorF16 decoded = codec.decode_cpu(encoded);
   for (std::size_t i = 0; i < sample.counts.size(); ++i) {
     ASSERT_EQ(decoded.values[i].bits(), expected_value(sample.counts[i]).bits());
   }
   // GPU path handles multi-block too.
   sim::SimGpu gpu({.sm_count = 4, .warps_per_sm = 2});
-  const TensorF16 dev = codec.decode_sample_gpu(encoded, gpu);
+  const TensorF16 dev = codec.decode_gpu(encoded, gpu);
   for (std::size_t i = 0; i < sample.counts.size(); ++i) {
     ASSERT_EQ(dev.values[i].bits(), expected_value(sample.counts[i]).bits());
   }
@@ -205,7 +205,7 @@ TEST(CosmoCodec, WithoutLog1pEmitsRawCounts) {
   CosmoEncodeOptions opt;
   opt.fuse_log1p = false;
   const CosmoCodec codec(opt);
-  const TensorF16 decoded = codec.decode_sample_cpu(codec.encode_sample(sample));
+  const TensorF16 decoded = codec.decode_cpu(codec.encode_sample(sample));
   for (std::size_t i = 0; i < sample.counts.size(); ++i) {
     ASSERT_EQ(decoded.values[i].bits(),
               expected_value(sample.counts[i], false).bits());
@@ -226,7 +226,7 @@ TEST(CosmoCodec, RejectsCorruptHeader) {
   const CosmoCodec codec;
   Bytes encoded = codec.encode_sample(sample);
   encoded[0] ^= 0xFF;  // magic
-  EXPECT_THROW(codec.decode_sample_cpu(encoded), FormatError);
+  EXPECT_THROW(codec.decode_cpu(encoded), FormatError);
 }
 
 TEST(CosmoCodec, RejectsTruncation) {
@@ -234,7 +234,7 @@ TEST(CosmoCodec, RejectsTruncation) {
   const CosmoCodec codec;
   const Bytes encoded = codec.encode_sample(sample);
   const ByteSpan cut = ByteSpan(encoded).first(encoded.size() / 2);
-  EXPECT_THROW(codec.decode_sample_cpu(cut), FormatError);
+  EXPECT_THROW(codec.decode_cpu(cut), FormatError);
 }
 
 TEST(CosmoCodec, RejectsOutOfRangeKeys) {
@@ -242,13 +242,19 @@ TEST(CosmoCodec, RejectsOutOfRangeKeys) {
   sample.dim = 8;
   sample.counts.assign(sample.value_count(), 1);
   sample.counts[0] = 2;  // 2 groups -> keys {0,1}, 1-byte keys, raw or rle
-  CosmoEncodeOptions opt;
-  opt.rle = false;
-  const CosmoCodec codec(opt);
-  Bytes encoded = codec.encode_sample(sample);
-  // Stream is the trailing voxel-count bytes; set one key to 0xEE (>= 2).
-  encoded[encoded.size() - 5] = 0xEE;
-  EXPECT_THROW(codec.decode_sample_cpu(encoded), FormatError);
+  sim::SimGpu gpu({.sm_count = 2, .warps_per_sm = 2});
+  for (const bool rle : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "rle=" << rle);
+    const CosmoCodec codec({.rle = rle});
+    Bytes encoded = codec.encode_sample(sample);
+    ASSERT_EQ(CosmoCodec::inspect(encoded).rle_blocks, rle ? 1u : 0u);
+    // A raw stream is the trailing voxel-count bytes; an RLE stream ends
+    // with the last run's key. Either way, set one key to 0xEE (>= 2).
+    encoded[encoded.size() - (rle ? 1 : 5)] = 0xEE;
+    EXPECT_THROW((void)codec.decode_cpu(encoded), FormatError);
+    EXPECT_THROW((void)codec.decode_gpu(encoded, gpu), FormatError);
+    EXPECT_THROW((void)CosmoCodec::inspect(encoded), FormatError);
+  }
 }
 
 TEST(CosmoCodec, BadOptionsRejected) {
@@ -292,11 +298,19 @@ TEST(CosmoCodec, GoldenDecodeDigests) {
     SCOPED_TRACE(::testing::Message() << "log1p=" << g.log1p);
     const CosmoCodec codec({.fuse_log1p = g.log1p});
     const Bytes encoded = codec.encode_sample(sample);
-    EXPECT_EQ(fp16_digest(codec.decode_sample_cpu(encoded)), g.digest);
+    EXPECT_EQ(fp16_digest(codec.decode_cpu(encoded)), g.digest);
     sim::SimGpu gpu({.sm_count = 4, .warps_per_sm = 2});
-    EXPECT_EQ(fp16_digest(codec.decode_sample_gpu(encoded, gpu)), g.digest);
+    EXPECT_EQ(fp16_digest(codec.decode_gpu(encoded, gpu)), g.digest);
     EXPECT_EQ(fp16_digest(CosmoCodec::reference_preprocess_sample(sample, g.log1p)),
               g.digest);
+    // SimGpu accounting, recorded with the digests: the sim-charged figures
+    // (Figs 10-12) read these counters.
+    const sim::KernelStats& stats = gpu.lifetime_stats();
+    EXPECT_EQ(stats.warps, 1599u);
+    EXPECT_EQ(stats.lockstep_ops, 1599u);
+    EXPECT_EQ(stats.divergent_branches, 0u);
+    EXPECT_EQ(stats.bytes_read, 401280u);
+    EXPECT_EQ(stats.bytes_written, 298944u);
   }
 }
 
@@ -309,7 +323,7 @@ TEST_P(CosmoRoundTrip, ExactAcrossDimsAndIndices) {
   const std::uint64_t index = std::get<1>(GetParam());
   const auto sample = synthetic_sample(dim, index);
   const CosmoCodec codec;
-  const TensorF16 decoded = codec.decode_sample_cpu(codec.encode_sample(sample));
+  const TensorF16 decoded = codec.decode_cpu(codec.encode_sample(sample));
   for (std::size_t i = 0; i < sample.counts.size(); ++i) {
     ASSERT_EQ(decoded.values[i].bits(), expected_value(sample.counts[i]).bits());
   }

@@ -34,7 +34,7 @@ TEST_P(CosmoOptionMatrix, RoundTripsExactly) {
   cfg.seed = 1234;
   const auto sample = data::CosmoGenerator(cfg).generate(1);
   const codec::CosmoCodec codec(opt);
-  const auto decoded = codec.decode_sample_cpu(codec.encode_sample(sample));
+  const auto decoded = codec.decode_cpu(codec.encode_sample(sample));
   for (std::size_t i = 0; i < sample.counts.size(); ++i) {
     const float x = static_cast<float>(sample.counts[i]);
     const Half want(opt.fuse_log1p ? std::log1p(x) : x);
@@ -43,7 +43,7 @@ TEST_P(CosmoOptionMatrix, RoundTripsExactly) {
   // GPU decode agrees under every option set too.
   sim::SimGpu gpu({.sm_count = 4, .warps_per_sm = 2});
   const auto on_gpu =
-      codec.decode_sample_gpu(codec.encode_sample(sample), gpu);
+      codec.decode_gpu(codec.encode_sample(sample), gpu);
   for (std::size_t i = 0; i < decoded.values.size(); ++i) {
     ASSERT_EQ(on_gpu.values[i].bits(), decoded.values[i].bits());
   }
@@ -82,7 +82,7 @@ TEST_P(CamOptionMatrix, BoundedErrorAndPlacementAgreement) {
   const auto sample = data::CamGenerator(cfg).generate(2);
   const codec::CamCodec codec(eopt, dopt);
   const Bytes encoded = codec.encode_sample(sample);
-  const auto decoded = codec.decode_sample_cpu(encoded);
+  const auto decoded = codec.decode_cpu(encoded);
   ASSERT_EQ(decoded.values.size(), sample.value_count());
   for (const Half h : decoded.values) {
     ASSERT_FALSE(h.is_nan());
@@ -97,7 +97,7 @@ TEST_P(CamOptionMatrix, BoundedErrorAndPlacementAgreement) {
   EXPECT_LT(codec::fraction_above_rel_error(ref, decoded.values, 0.10), 0.10);
 
   sim::SimGpu gpu({.sm_count = 4, .warps_per_sm = 2});
-  const auto on_gpu = codec.decode_sample_gpu(encoded, gpu);
+  const auto on_gpu = codec.decode_gpu(encoded, gpu);
   for (std::size_t i = 0; i < decoded.values.size(); ++i) {
     ASSERT_EQ(on_gpu.values[i].bits(), decoded.values[i].bits());
   }
