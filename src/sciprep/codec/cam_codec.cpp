@@ -4,6 +4,11 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <utility>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "sciprep/common/error.hpp"
 #include "sciprep/compress/deflate.hpp"
@@ -241,8 +246,13 @@ ChannelStats channel_stats(const float* plane, std::size_t n) {
           static_cast<float>(1.0 / std::sqrt(std::max(var, 1e-12)))};
 }
 
-/// Per-thread line scratch, reused across lines and samples: the FP32
-/// reconstruction and the staged FP16 line of a strided (HWC) emit.
+/// Lines the lane schedule reconstructs at once, one per AVX2 lane, each
+/// into a row of whole 8-value blocks.
+constexpr std::size_t kLanes = 8;
+constexpr std::size_t lane_row(std::size_t w) { return (w + 7) / 8 * 8; }
+
+/// Per-thread line scratch, reused across lines and samples: kLanes FP32
+/// rows (the scalar kernel uses one) and the staged FP16 line of HWC emits.
 struct LineScratch {
   std::vector<float> f32;
   std::vector<Half> f16;
@@ -250,8 +260,8 @@ struct LineScratch {
 
 LineScratch& line_scratch(std::size_t width) {
   thread_local LineScratch scratch;
-  if (scratch.f32.size() < width) {
-    scratch.f32.resize(width);
+  if (scratch.f16.size() < width) {
+    scratch.f32.resize(kLanes * lane_row(width));
     scratch.f16.resize(width);
   }
   return scratch;
@@ -260,12 +270,16 @@ LineScratch& line_scratch(std::size_t width) {
 /// The codec's FP16 emit: the fused normalize in place, one span convert for
 /// the whole line, written to `dst[x * stride]` — straight through for
 /// stride 1, staged then scattered otherwise (the fused layout transpose).
-void emit_line(float* line, std::size_t width, const ChannelStats& s,
+void emit_line(float* line, std::size_t width, ChannelStats s,
                bool normalize, Half* dst, std::size_t stride) {
   if (normalize) {
-    for (std::size_t x = 0; x < width; ++x) {
-      line[x] = (line[x] - s.mean) * s.inv_std;
+    std::size_t x = 0;
+    for (; x + 8 <= width; x += 8) {  // blocks of 8, which -O2 vectorizes
+      for (int k = 0; k < 8; ++k) {
+        line[x + k] = (line[x + k] - s.mean) * s.inv_std;
+      }
     }
+    for (; x < width; ++x) line[x] = (line[x] - s.mean) * s.inv_std;
   }
   if (stride == 1) {
     fp32_to_fp16_n(line, dst, width);
@@ -402,32 +416,50 @@ constexpr auto kSignedMantissa = [] {
   return m;
 }();
 
-/// Validate a delta line's segment headers in one pass without allocating,
-/// then reconstruct the line in FP32 into `recon[0, width)` (paper §V.A).
-/// Each segment hoists its exponent window into p2[off] = 2^(emin + off),
-/// so a delta costs two table loads and the multiply the per-value ldexp
-/// form computed — the same product, so the same bits.
-void reconstruct_delta(ByteSpan body, std::size_t width, float* recon) {
+/// A delta line's checked header. normal_exponents: every 2^(emin + off)
+/// is a normal float (emin in [-126, 120]), so lanes can build it from bits.
+struct DeltaHeader {
+  std::uint16_t seg_count = 0;
+  const std::uint8_t* deltas = nullptr;
+  bool normal_exponents = false;
+};
+
+/// The one delta-header check, for both schedules: every segment non-empty,
+/// the segments covering the line exactly, no bytes after the deltas.
+DeltaHeader check_delta(ByteSpan body, std::size_t width) {
   ByteReader in(body);
-  const auto seg_count = in.get<std::uint16_t>();
+  DeltaHeader h{in.get<std::uint16_t>(), nullptr, true};
   std::size_t covered = 0;
-  for (std::uint16_t s = 0; s < seg_count; ++s) {
+  for (std::uint16_t s = 0; s < h.seg_count; ++s) {
     const auto count = in.get<std::uint16_t>();
-    in.skip(sizeof(float) + sizeof(std::int16_t));
+    in.skip(sizeof(float));
+    const int emin = in.get<std::int16_t>();
     if (count == 0) {
       throw_format("cam codec: empty segment");
     }
     covered += count;
+    h.normal_exponents = h.normal_exponents && emin >= -126 && emin <= 120;
   }
   if (covered != width) {
     throw_format("cam codec: segments cover {} of {} values", covered, width);
   }
-  const std::uint8_t* delta = in.get_bytes(covered - seg_count).data();
+  h.deltas = in.get_bytes(covered - h.seg_count).data();
   if (!in.done()) {
     throw_format("cam codec: trailing bytes in delta line");
   }
+  return h;
+}
+
+/// Reconstruct a checked delta line in FP32 into `recon[0, width)` (paper
+/// §V.A). Each segment hoists its exponent window into
+/// p2[off] = 2^(emin + off), so a delta costs two table loads and the
+/// multiply the per-value ldexp form computed — the same product, so the
+/// same bits.
+void reconstruct_delta(ByteSpan body, std::size_t width, float* recon) {
+  const DeltaHeader h = check_delta(body, width);
+  const std::uint8_t* delta = h.deltas;
   ByteReader header(body.subspan(sizeof(std::uint16_t)));
-  for (std::uint16_t s = 0; s < seg_count; ++s) {
+  for (std::uint16_t s = 0; s < h.seg_count; ++s) {
     const auto count = header.get<std::uint16_t>();
     float v = header.get<float>();
     const int emin = header.get<std::int16_t>();
@@ -492,6 +524,10 @@ struct CamOutput {
     return tensor.values.data() +
            (chw ? (cz * height + yz) * width : yz * width * stride + cz);
   }
+  Half* line(std::size_t index) {
+    return line(static_cast<int>(index / height),
+                static_cast<int>(index % height));
+  }
 
   bool chw;
   std::size_t height;
@@ -499,6 +535,139 @@ struct CamOutput {
   std::size_t stride;  // between a line's values: 1 (CHW) or channels (HWC)
   TensorF16 tensor;
 };
+
+// ---------------------------------------------------------------------------
+// Lane schedule: a delta line per AVX2 lane, each in scalar rounding order.
+// ---------------------------------------------------------------------------
+
+/// A lane group's lines, per lane: the next delta byte and segment header.
+struct LaneGroup {
+  const std::uint8_t* delta[kLanes];
+  const std::uint8_t* header[kLanes];
+};
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+using U32x8 = std::uint32_t __attribute__((vector_size(32)));
+
+/// A block's segment starts: per lane a bit per step, per step the pivots.
+struct Starts {
+  U32x8 bits{};
+  __m256 pivot[8]{};
+  U32x8 exp_bits[8]{};  // the new segments' 2^emin
+};
+
+/// One 8-value block of all lanes from their 8 codes (words[l] is lane
+/// l's): run the 8 steps, transpose the 8x8 values out to the rows at x0.
+/// With kStarts, a lane takes its pivot at a start (a zero code there).
+template <bool kStarts>
+__attribute__((target("avx2"))) inline void run_block(
+    __m256& v, U32x8& exp_bits, const std::uint64_t (&words)[kLanes],
+    const Starts* starts, float* rows, std::size_t row, std::size_t x0) {
+  // Each lane's codes 0-3 and 4-7 as one dword each.
+  const __m256i dwords = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+  const __m256i w03 = _mm256_permutevar8x32_epi32(
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(words)), dwords);
+  const __m256i w47 = _mm256_permutevar8x32_epi32(
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(words + 4)), dwords);
+  const U32x8 code_dwords[2] = {
+      U32x8(_mm256_permute2x128_si256(w03, w47, 0x20)),
+      U32x8(_mm256_permute2x128_si256(w03, w47, 0x31))};
+  __m256 s[8];
+#pragma GCC unroll 8
+  for (unsigned j = 0; j < 8; ++j) {
+    // The factors built from bits: ±(1 + mant/16), and 2^(emin + off) or 0
+    // for the zero code. t holds the mantissa at bits 19-22, offset 23-25.
+    const U32x8 code = code_dwords[j / 4] >> (8 * (j % 4)) & 0xFFu;
+    const U32x8 t = code << 19;
+    const U32x8 mant = (t & 0x0078'0000u) | (code & 0x80u) << 24 | 0x3F80'0000u;
+    const U32x8 p2 = U32x8(code != 0) & (exp_bits + (t & 0x0380'0000u));
+    // A separate multiply and add, no FMA: the scalar kernel's roundings.
+    v = _mm256_add_ps(v, _mm256_mul_ps(__m256(mant), __m256(p2)));
+    if constexpr (kStarts) {
+      const U32x8 at = U32x8((starts->bits & (1u << j)) != 0);
+      v = at ? starts->pivot[j] : v;
+      exp_bits = at ? starts->exp_bits[j] : exp_bits;
+    }
+    s[j] = v;
+  }
+  // s[j] holds step j of lanes 0-7; row l takes lane l's 8 steps.
+  __m256 t[8];
+  __m256 u[8];
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(s[i], s[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(s[i], s[i + 1]);
+  }
+  for (int i = 0; i < 8; i += 4) {
+    for (int k = 0; k < 2; ++k) {
+      u[i + 2 * k] = _mm256_shuffle_ps(t[i + k], t[i + k + 2], 0x44);
+      u[i + 2 * k + 1] = _mm256_shuffle_ps(t[i + k], t[i + k + 2], 0xEE);
+    }
+  }
+  for (std::size_t l = 0; l < 4; ++l) {
+    _mm256_storeu_ps(rows + l * row + x0,
+                     _mm256_permute2f128_ps(u[l], u[l + 4], 0x20));
+    _mm256_storeu_ps(rows + (l + 4) * row + x0,
+                     _mm256_permute2f128_ps(u[l], u[l + 4], 0x31));
+  }
+}
+
+/// Reconstruct the group's checked delta lines, all 2^(emin + off) normal,
+/// into rows of lane_row(width). In a block with a start, and a last short
+/// block, a lane loads the 8 bytes ending at its last code there and
+/// spreads its codes over the steps without a start: no load reaches past
+/// a line's delta bytes.
+__attribute__((target("avx2"))) void reconstruct_lanes(
+    LaneGroup g, std::size_t width, float* rows) {
+  __m256 v{};
+  U32x8 exp_bits{};
+  U32x8 next_start{};
+  Starts starts;  // entries of steps without a start are stale, unused
+  const std::size_t row = lane_row(width);
+  for (std::size_t x0 = 0; x0 < width; x0 += 8) {
+    const std::size_t len = std::min<std::size_t>(8, width - x0);
+    const auto starting = static_cast<unsigned>(_mm256_movemask_ps(
+        __m256(next_start < static_cast<std::uint32_t>(x0 + len))));
+    alignas(32) std::uint64_t words[kLanes];
+    if (starting == 0 && len == 8) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        std::memcpy(&words[l], std::exchange(g.delta[l], g.delta[l] + 8), 8);
+      }
+      run_block<false>(v, exp_bits, words, nullptr, rows, row, x0);
+      continue;
+    }
+    starts.bits = U32x8{};
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      while (next_start[l] < x0 + len) {
+        ByteReader seg({std::exchange(g.header[l], g.header[l] + 8), 8});
+        const std::size_t k = next_start[l] - x0;
+        starts.bits[l] |= 1u << k;
+        next_start[l] += seg.get<std::uint16_t>();
+        starts.pivot[k][l] = seg.get<float>();
+        starts.exp_bits[k][l] =
+            static_cast<std::uint32_t>(seg.get<std::int16_t>() + 127) << 23;
+      }
+      const unsigned bits = starts.bits[l];
+      const std::size_t codes = len - __builtin_popcount(bits);
+      std::uint64_t w;  // its codes in the top bytes
+      std::memcpy(&w, g.delta[l] + codes - 8, 8);
+      g.delta[l] += codes;
+      words[l] = bits == 0 ? w >> (64 - 8 * codes) : 0;
+      for (std::size_t j = 0, c = 8 - codes; bits != 0 && j < len; ++j) {
+        if (~bits >> j & 1u) words[l] |= (w >> (8 * c++) & 0xFF) << (8 * j);
+      }
+    }
+    run_block<true>(v, exp_bits, words, &starts, rows, row, x0);
+  }
+}
+
+bool lanes_available() noexcept {
+  static const bool available = __builtin_cpu_supports("avx2");
+  return available;
+}
+#else
+void reconstruct_lanes(LaneGroup, std::size_t, float*) { SCIPREP_ASSERT(0); }
+bool lanes_available() noexcept { return false; }
+#endif
 
 }  // namespace
 
@@ -604,14 +773,45 @@ TensorF16 CamCodec::decode_cpu(ByteSpan encoded) const {
   ParsedCam p = parse_cam(encoded);
   CamOutput out(p.channels, p.height, p.width, decode_options_.layout,
                 std::move(p.labels));
-  for (int c = 0; c < p.channels; ++c) {
-    guard::poll_cancellation();  // cancellation point per channel
-    for (int y = 0; y < p.height; ++y) {
-      decode_line(p.lines[static_cast<std::size_t>(c) * out.height + y],
-                  out.width, p.stats[static_cast<std::size_t>(c)], p.normalize,
-                  out.line(c, y), out.stride);
+  // Delta lines with normal 2^(emin + off) fill lane groups, across
+  // channels; the scalar kernel takes the rest and a last short group.
+  const bool lanes = lanes_available();
+  LaneGroup group{};
+  std::array<std::size_t, kLanes> grouped{};
+  std::size_t n = 0;
+  [[maybe_unused]] std::uint64_t lane_lines = 0;
+  [[maybe_unused]] std::uint64_t scalar_lines = 0;
+  const auto decode_scalar = [&](std::size_t i) {
+    scalar_lines += p.lines[i].mode == kModeDelta;
+    decode_line(p.lines[i], out.width, p.stats[i / out.height], p.normalize,
+                out.line(i), out.stride);
+  };
+  for (std::size_t i = 0; i < p.lines.size(); ++i) {
+    if (i % out.height == 0) guard::poll_cancellation();  // per channel
+    const ParsedLine& line = p.lines[i];
+    const bool lane = lanes && line.mode == kModeDelta;
+    const auto h = lane ? check_delta(line.body, out.width) : DeltaHeader{};
+    if (!h.normal_exponents) {
+      decode_scalar(i);
+      continue;
     }
+    group.delta[n] = h.deltas;
+    group.header[n] = line.body.data() + sizeof(std::uint16_t);
+    grouped[n] = i;
+    if (++n < kLanes) continue;
+    float* rows = line_scratch(out.width).f32.data();
+    reconstruct_lanes(group, out.width, rows);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      emit_line(rows + l * lane_row(out.width), out.width,
+                p.stats[grouped[l] / out.height], p.normalize,
+                out.line(grouped[l]), out.stride);
+    }
+    lane_lines += kLanes;
+    n = 0;
   }
+  for (std::size_t l = 0; l < n; ++l) decode_scalar(grouped[l]);
+  SCIPREP_OBS_COUNT("codec.cam.lane_lines_total", lane_lines);
+  SCIPREP_OBS_COUNT("codec.cam.scalar_lines_total", scalar_lines);
   return std::move(out.tensor);
 }
 

@@ -91,9 +91,12 @@ class BitReader {
     return static_cast<std::uint32_t>(acc_ & maskbits(count));
   }
 
-  /// Consume `count` bits previously peeked.
+  /// Consume `count` bits previously peeked. Peeked bits past the end read
+  /// as zero, so a code that needs them means the stream is truncated.
   void drop_bits(int count) {
-    SCIPREP_ASSERT(count <= nbits_);
+    if (count > nbits_) {
+      throw_format("bitstream truncated: drop {} bits, have {}", count, nbits_);
+    }
     acc_ >>= count;
     nbits_ -= count;
   }

@@ -65,11 +65,66 @@ std::uint32_t crc_sliced(const Table8& t, ByteSpan data,
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SCIPREP_CRC32C_HW 1
 
+// One crc32 stream is bound by the instruction's 3-cycle latency. Three
+// independent streams over adjacent kStripe-byte stripes keep the unit busy,
+// and their raw (unconditioned) CRCs combine through the CRC's linearity:
+// crc(c, A || B) = crc(c, A) * x^(8|B|) ^ crc(0, B) in GF(2)[x] mod P.
+constexpr std::size_t kStripe = 2048;
+
+// a * b mod P for reflected CRC-32C polynomials (bit 31 is x^0).
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1u) ? (b >> 1) ^ 0x82F6'3B78u : b >> 1;
+  }
+  return product;
+}
+
+// Multiplication by x^(8 * kStripe), one table per byte of the operand: the
+// shift that moves a stripe's raw CRC past the next stripe.
+constexpr auto kShiftStripe = [] {
+  std::uint32_t x_pow = 1u << 30;  // x^1
+  for (std::size_t bits = 1; bits < 8 * kStripe; bits *= 2) {
+    x_pow = multmodp(x_pow, x_pow);
+  }
+  std::array<std::array<std::uint32_t, 256>, 4> t{};
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = multmodp(x_pow, i << (8 * k));
+    }
+  }
+  return t;
+}();
+
+constexpr std::uint32_t shift_stripe(std::uint32_t crc) {
+  return kShiftStripe[0][crc & 0xFFu] ^ kShiftStripe[1][(crc >> 8) & 0xFFu] ^
+         kShiftStripe[2][(crc >> 16) & 0xFFu] ^ kShiftStripe[3][crc >> 24];
+}
+
 __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
     ByteSpan data, std::uint32_t seed) noexcept {
   std::uint64_t c = seed ^ 0xFFFF'FFFFu;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
+  for (; n >= 3 * kStripe; n -= 3 * kStripe, p += 3 * kStripe) {
+    std::uint64_t c1 = 0;
+    std::uint64_t c2 = 0;
+    for (std::size_t i = 0; i < kStripe; i += 8) {
+      std::uint64_t w0;
+      std::uint64_t w1;
+      std::uint64_t w2;
+      std::memcpy(&w0, p + i, 8);
+      std::memcpy(&w1, p + kStripe + i, 8);
+      std::memcpy(&w2, p + 2 * kStripe + i, 8);
+      c = __builtin_ia32_crc32di(c, w0);
+      c1 = __builtin_ia32_crc32di(c1, w1);
+      c2 = __builtin_ia32_crc32di(c2, w2);
+    }
+    const auto c01 = shift_stripe(static_cast<std::uint32_t>(c)) ^
+                     static_cast<std::uint32_t>(c1);
+    c = shift_stripe(c01) ^ static_cast<std::uint32_t>(c2);
+  }
   while (n >= 8) {
     std::uint64_t word;
     std::memcpy(&word, p, 8);
@@ -99,6 +154,10 @@ std::uint32_t crc32c(ByteSpan data, std::uint32_t seed) noexcept {
 #ifdef SCIPREP_CRC32C_HW
   if (crc32c_hw_available()) return crc32c_hw(data, seed);
 #endif
+  return crc32c_sliced(data, seed);
+}
+
+std::uint32_t crc32c_sliced(ByteSpan data, std::uint32_t seed) noexcept {
   return crc_sliced(kTableCastagnoli, data, seed);
 }
 

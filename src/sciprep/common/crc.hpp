@@ -13,8 +13,12 @@ namespace sciprep {
 std::uint32_t crc32(ByteSpan data, std::uint32_t seed = 0) noexcept;
 
 /// CRC-32C with polynomial 0x82F63B78 (reflected Castagnoli), as used by
-/// TFRecord.
+/// TFRecord. Uses SSE4.2's crc32 instruction where the host has it.
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0) noexcept;
+
+/// CRC-32C by the portable slice-by-8 tables alone: crc32c's fallback, and
+/// the reference its hardware path must equal.
+std::uint32_t crc32c_sliced(ByteSpan data, std::uint32_t seed = 0) noexcept;
 
 /// TFRecord masks CRCs so that a CRC stored alongside data cannot be mistaken
 /// for a CRC of that data. See tensorflow/core/lib/hash/crc32c.h.

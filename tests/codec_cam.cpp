@@ -5,13 +5,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <numbers>
 
 #include "sciprep/codec/cam_codec.hpp"
 #include "sciprep/common/crc.hpp"
 #include "sciprep/common/error.hpp"
 #include "sciprep/common/rng.hpp"
+#include "sciprep/compress/deflate.hpp"
 #include "sciprep/data/cam_gen.hpp"
+#include "sciprep/obs/obs.hpp"
 
 namespace sciprep::codec {
 namespace {
@@ -377,6 +381,243 @@ TEST(CamCodec, GoldenDecodeDigests) {
     EXPECT_EQ(fp16_digest(CamCodec::reference_preprocess_sample(
                   sample, g.normalize, g.layout)),
               g.reference);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lane schedule: decode_cpu reconstructs delta lines eight at a time, one per
+// AVX2 lane (where the host has AVX2); decode_gpu runs the scalar line
+// kernel on every line, so it is the bit-exact oracle for the lanes.
+// ---------------------------------------------------------------------------
+
+/// decode_cpu and decode_gpu over an exact-size heap copy of `encoded`, so
+/// ASan flags any read past the last line; both must give the same bits.
+void expect_lanes_match_scalar(const CamCodec& codec, const Bytes& encoded) {
+  const auto exact = std::make_unique<std::uint8_t[]>(encoded.size());
+  std::memcpy(exact.get(), encoded.data(), encoded.size());
+  const ByteSpan span(exact.get(), encoded.size());
+  const TensorF16 cpu = codec.decode_cpu(span);
+  sim::SimGpu gpu({.sm_count = 2, .warps_per_sm = 2});
+  const TensorF16 dev = codec.decode_gpu(span, gpu);
+  ASSERT_EQ(cpu.shape, dev.shape);
+  ASSERT_EQ(cpu.values.size(), dev.values.size());
+  for (std::size_t i = 0; i < cpu.values.size(); ++i) {
+    ASSERT_EQ(cpu.values[i].bits(), dev.values[i].bits()) << "value " << i;
+  }
+}
+
+#if !defined(SCIPREP_OBS_DISABLED)
+/// How many delta lines one decode_cpu sent through each schedule, from the
+/// codec.cam.{lane,scalar}_lines_total counters.
+struct ScheduleCounts {
+  std::uint64_t lanes = 0;
+  std::uint64_t scalar = 0;
+};
+
+ScheduleCounts decode_counting(const CamCodec& codec, const Bytes& encoded) {
+  const auto& metrics = obs::MetricsRegistry::global();
+  const ScheduleCounts before{
+      metrics.counter_value("codec.cam.lane_lines_total"),
+      metrics.counter_value("codec.cam.scalar_lines_total")};
+  (void)codec.decode_cpu(encoded);
+  return {metrics.counter_value("codec.cam.lane_lines_total") - before.lanes,
+          metrics.counter_value("codec.cam.scalar_lines_total") -
+              before.scalar};
+}
+
+bool host_has_lanes() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+#endif  // SCIPREP_OBS_DISABLED
+
+TEST(CamLanes, OddWidthsAndLineCountsMatchScalarKernel) {
+  // Widths off the 8-value block leave a per-lane tail; 3 x 9 = 27 lines
+  // leave a last group short of 8 for the scalar kernel.
+  for (const int width : {23, 1150}) {
+    const auto sample = synthetic_sample(5, 9, width, 3);
+    for (const bool normalize : {true, false}) {
+      for (const CamLayout layout : {CamLayout::kCHW, CamLayout::kHWC}) {
+        SCOPED_TRACE(::testing::Message() << "width " << width << " normalize "
+                                          << normalize << " layout "
+                                          << static_cast<int>(layout));
+        const CamCodec codec({.normalize = normalize}, {layout});
+        const Bytes encoded = codec.encode_sample(sample);
+        ASSERT_GT(CamCodec::inspect(encoded).delta_lines, 8u);
+        expect_lanes_match_scalar(codec, encoded);
+      }
+    }
+  }
+}
+
+TEST(CamLanes, ShortSegmentLimitsMatchScalarKernel) {
+  // A line may hold at most width / 8 segments, so limits below 8 make
+  // every line raw (the handmade streams below cover shorter segments);
+  // limit 16 keeps lines delta with a segment start in every other block.
+  const auto sample = synthetic_sample(6, 12, 1152, 2);
+  for (const int limit : {2, 7, 16, 32}) {
+    SCOPED_TRACE(::testing::Message() << "max_segment_length " << limit);
+    for (const CamLayout layout : {CamLayout::kCHW, CamLayout::kHWC}) {
+      const CamCodec codec({.max_segment_length = limit}, {layout});
+      const Bytes encoded = codec.encode_sample(sample);
+      const CamEncodedInfo info = CamCodec::inspect(encoded);
+      if (limit < 8) {
+        EXPECT_EQ(info.delta_lines, 0u);
+      } else {
+        EXPECT_GT(info.delta_lines, 8u);
+        EXPECT_GT(info.segments, info.delta_lines * 1152 / (2 * limit));
+      }
+      expect_lanes_match_scalar(codec, encoded);
+    }
+  }
+}
+
+TEST(CamLanes, SubnormalExponentsTakeTheScalarKernel) {
+  // Channel 1 scaled to ~1e-38 with normalize off: its deltas are
+  // subnormal, so their segments' 2^emin is not a normal float and those
+  // lines must leave the lanes for the scalar kernel.
+  auto sample = synthetic_sample(8, 16, 96, 2);
+  const auto plane = sample.pixel_count();
+  float peak = 0;
+  for (std::size_t i = plane; i < 2 * plane; ++i) {
+    peak = std::max(peak, std::abs(sample.image[i]));
+  }
+  for (std::size_t i = plane; i < 2 * plane; ++i) {
+    sample.image[i] *= 1e-38F / peak;
+  }
+  for (const CamLayout layout : {CamLayout::kCHW, CamLayout::kHWC}) {
+    const CamCodec codec({.normalize = false}, {layout});
+    const Bytes encoded = codec.encode_sample(sample);
+    expect_lanes_match_scalar(codec, encoded);
+#if !defined(SCIPREP_OBS_DISABLED)
+    const ScheduleCounts counts = decode_counting(codec, encoded);
+    EXPECT_EQ(counts.lanes + counts.scalar,
+              CamCodec::inspect(encoded).delta_lines);
+    EXPECT_GE(counts.scalar, 8u) << "the scaled channel's delta lines";
+    if (host_has_lanes()) {
+      EXPECT_GT(counts.lanes, 0u);
+    }
+#endif
+  }
+}
+
+/// A DeepCAM stream built field by field (the format cam_codec.hpp
+/// documents), for line layouts the encoder never emits: segments of any
+/// length down to 1, so blocks hold one, two or more segment starts.
+Bytes handmade_stream(int channels, int height, int width, bool normalize,
+                      const std::vector<Bytes>& lines) {
+  ByteWriter out;
+  out.put<std::uint32_t>(0x31454143u);  // "CAE1"
+  out.put<std::uint8_t>(1);
+  out.put<std::uint8_t>(normalize ? 1 : 0);
+  out.put<std::uint16_t>(static_cast<std::uint16_t>(channels));
+  out.put<std::uint32_t>(static_cast<std::uint32_t>(height));
+  out.put<std::uint32_t>(static_cast<std::uint32_t>(width));
+  for (int c = 0; c < channels; ++c) {
+    out.put<float>(0.25F * static_cast<float>(c));  // mean
+    out.put<float>(1.5F);                           // inv_std
+  }
+  const Bytes labels(static_cast<std::size_t>(height) * width, 0);
+  const Bytes packed = compress::deflate(ByteSpan(labels));
+  out.put<std::uint32_t>(static_cast<std::uint32_t>(labels.size()));
+  out.put<std::uint32_t>(static_cast<std::uint32_t>(packed.size()));
+  out.put_bytes(packed);
+  out.put<std::uint32_t>(static_cast<std::uint32_t>(lines.size()));
+  std::uint32_t offset = 0;
+  for (const Bytes& line : lines) {
+    out.put<std::uint32_t>(offset);
+    offset += static_cast<std::uint32_t>(line.size());
+  }
+  out.put<std::uint32_t>(offset);
+  for (const Bytes& line : lines) out.put_bytes(line);
+  return std::move(out).take();
+}
+
+/// A delta line of random segments (lengths 1-3 or 9-40, so some blocks
+/// hold several starts) with random codes, pivots of about `scale`, and
+/// each segment's minimum exponent drawn from [emin_lo, emin_hi].
+Bytes random_delta_line(Rng& rng, int width, int emin_lo, int emin_hi,
+                        float scale) {
+  std::vector<std::uint16_t> counts;
+  for (int left = width; left > 0;) {
+    const int want = rng.next_below(3) == 0
+                         ? 9 + static_cast<int>(rng.next_below(32))
+                         : 1 + static_cast<int>(rng.next_below(3));
+    counts.push_back(static_cast<std::uint16_t>(std::min(want, left)));
+    left -= counts.back();
+  }
+  ByteWriter line;
+  line.put<std::uint8_t>(2);  // delta
+  line.put<std::uint16_t>(static_cast<std::uint16_t>(counts.size()));
+  for (const std::uint16_t count : counts) {
+    line.put<std::uint16_t>(count);
+    line.put<float>(scale * static_cast<float>(rng.normal()));
+    line.put<std::int16_t>(static_cast<std::int16_t>(
+        emin_lo + static_cast<int>(rng.next_below(emin_hi - emin_lo + 1))));
+  }
+  for (std::size_t i = counts.size(); i < static_cast<std::size_t>(width);
+       ++i) {
+    // A quarter zero codes; the rest any sign, offset and mantissa.
+    line.put<std::uint8_t>(rng.next_below(4) == 0
+                               ? 0
+                               : static_cast<std::uint8_t>(rng.next_u64()));
+  }
+  return std::move(line).take();
+}
+
+TEST(CamLanes, HandmadeSegmentsAndMixedLinesMatchScalarKernel) {
+  // Delta lines at both ends of the lanes' exponent range [-126, 120] and
+  // just past them (those take the scalar kernel: 2^(emin + off) there is
+  // subnormal or infinite), with pivots scaled so that their deltas count.
+  struct Kind {
+    int emin_lo, emin_hi;
+    float scale;
+  };
+  constexpr Kind kKinds[] = {{-126, -119, 1e-36F}, {-12, -6, 1.0F},
+                             {113, 120, 1e36F},    {-127, -127, 1e-38F},
+                             {-140, -128, 1e-38F}, {121, 127, 1e38F}};
+  Rng rng(2024);
+  const int channels = 3;
+  const int height = 13;  // 39 lines: not a multiple of 8
+  for (const int width : {9, 23, 64, 1150}) {
+    std::vector<Bytes> lines;
+    for (int i = 0; i < channels * height; ++i) {
+      const auto pick = rng.next_below(14);
+      if (pick == 0) {  // raw FP16
+        Bytes raw(static_cast<std::size_t>(width) * sizeof(Half) + 1);
+        raw[0] = 1;
+        for (std::size_t b = 1; b < raw.size(); b += 2) raw[b] = 0x3C;
+        lines.push_back(raw);
+      } else if (pick == 1) {  // constant
+        ByteWriter constant;
+        constant.put<std::uint8_t>(0);
+        constant.put<float>(-0.75F);
+        lines.push_back(std::move(constant).take());
+      } else {
+        const Kind& k = kKinds[pick % 6];
+        lines.push_back(
+            random_delta_line(rng, width, k.emin_lo, k.emin_hi, k.scale));
+      }
+    }
+    for (const bool normalize : {true, false}) {
+      for (const CamLayout layout : {CamLayout::kCHW, CamLayout::kHWC}) {
+        SCOPED_TRACE(::testing::Message() << "width " << width << " normalize "
+                                          << normalize << " layout "
+                                          << static_cast<int>(layout));
+        const CamCodec codec({}, {layout});
+        const Bytes encoded =
+            handmade_stream(channels, height, width, normalize, lines);
+        expect_lanes_match_scalar(codec, encoded);
+#if !defined(SCIPREP_OBS_DISABLED)
+        if (host_has_lanes()) {
+          EXPECT_GE(decode_counting(codec, encoded).lanes, 8u);
+        }
+#endif
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for buffer/bitstream/crc/rng/threadpool/stats substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -130,6 +131,22 @@ TEST(BitStream, TruncationThrows) {
   EXPECT_THROW(r.get_bits(8), FormatError);
 }
 
+TEST(BitStream, DroppingPeekedBitsPastTheEndIsCorrupt) {
+  // A Huffman decode peeks its longest code, zero-filled past the end, and
+  // drops the matched code's length: a truncated stream must surface as a
+  // typed format error, not an assertion.
+  const Bytes bytes = {0x5A};
+  BitReader r(bytes);
+  EXPECT_EQ(r.peek_bits(15), 0x5Au);
+  r.drop_bits(3);
+  try {
+    r.drop_bits(9);
+    FAIL() << "dropped 9 bits of 5";
+  } catch (const FormatError& e) {
+    EXPECT_EQ(classify(e), ErrorClass::kCorrupt);
+  }
+}
+
 TEST(Format, ZeroFlagFillsWithZeros) {
   EXPECT_EQ(fmt("{:08x}", 0x744a61fu), "0744a61f");
   EXPECT_EQ(fmt("{:08x}", 0u), "00000000");
@@ -164,6 +181,36 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   const std::uint32_t part = crc32(s.subspan(300), crc32(s.first(300)));
   EXPECT_EQ(part, whole);
   EXPECT_EQ(crc32c(s.subspan(123), crc32c(s.first(123))), crc32c(s));
+}
+
+TEST(Crc32, Crc32cEqualsSlicedAtEveryLengthAndAlignment) {
+  // crc32c's hardware path runs three interleaved streams from 3 x 2 KiB
+  // on and one stream below; both must equal the slice-by-8 tables. The
+  // largest length is a DeepCAM 1152x192x16 FP16 tensor, a wire frame.
+  Rng rng(19);
+  Bytes data(7'077'888 + 8);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+  const std::size_t lengths[] = {0,    1,    7,     8,     6143,
+                                 6144, 6145, 18437, 65536, 7'077'888};
+  for (const std::size_t n : lengths) {
+    for (std::size_t align = 0; align < 8; ++align) {
+      const ByteSpan s = ByteSpan(data).subspan(align, n);
+      const std::uint32_t seed = static_cast<std::uint32_t>(rng.next_u64());
+      EXPECT_EQ(crc32c(s), crc32c_sliced(s)) << n << " bytes at +" << align;
+      EXPECT_EQ(crc32c(s, seed), crc32c_sliced(s, seed))
+          << n << " bytes at +" << align << ", seeded";
+    }
+  }
+  // Chained: each piece seeded with the CRC so far, pieces of random size.
+  const ByteSpan all = ByteSpan(data).first(200'000);
+  std::uint32_t chained = 0;
+  for (std::size_t at = 0; at < all.size();) {
+    const std::size_t n =
+        std::min<std::size_t>(all.size() - at, rng.next_below(20'000));
+    chained = crc32c(all.subspan(at, n), chained);
+    at += n;
+  }
+  EXPECT_EQ(chained, crc32c_sliced(all));
 }
 
 TEST(Crc32, MaskUnmaskInverse) {
