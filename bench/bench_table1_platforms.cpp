@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   std::printf("workload   framework-role component      this repo\n");
   std::printf("CosmoFlow  TF input pipeline + TFRecord   sciprep::pipeline + io::TfRecord (masked CRC32C)\n");
   std::printf("CosmoFlow  tf.Example protobuf            io::TfExample (from-scratch wire codec)\n");
-  std::printf("CosmoFlow  gzip TFRecordOptions           compress::gzip (from-scratch DEFLATE)\n");
+  std::printf("CosmoFlow  gzip TFRecordOptions           compress::gzip (system zlib)\n");
   std::printf("DeepCAM    PyTorch loader + HDF5          sciprep::pipeline + io::h5lite\n");
   std::printf("both       DALI plugin                    codec::SampleCodec registry (cpu/gpu placement)\n");
   std::printf("both       CUDA device                    sim::SimGpu (warp-lockstep engine + Table I scaling)\n");

@@ -1520,7 +1520,6 @@ int run_wire_server(RunContext& ctx) {
     // Short enough that stop() and lease sweeps never wait long on an idle
     // connection, long enough that a healthy client never times out a request.
     wcfg.request_timeout_seconds = 2.0;
-    wcfg.sweep_interval_seconds = args.lease_ms / 2e3;
     wcfg.throttle_send_seconds = args.throttle_wire_ms / 1e3;
     if (args.throttle_wire_ms > 0) {
       std::printf("wire: throttling every reply by %.1f ms\n",

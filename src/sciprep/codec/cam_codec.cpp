@@ -708,8 +708,7 @@ Bytes CamCodec::encode_sample(const io::CamSample& sample) const {
   }
 
   // Labels: lossless DEFLATE.
-  const Bytes packed_labels =
-      compress::deflate(ByteSpan(sample.labels), compress::DeflateLevel::kFast);
+  const Bytes packed_labels = compress::deflate(ByteSpan(sample.labels));
   out.put<std::uint32_t>(static_cast<std::uint32_t>(sample.labels.size()));
   out.put<std::uint32_t>(static_cast<std::uint32_t>(packed_labels.size()));
   out.put_bytes(packed_labels);

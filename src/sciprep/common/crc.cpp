@@ -14,12 +14,13 @@ namespace {
 // same running value one 64-bit load covers.
 using Table8 = std::array<std::array<std::uint32_t, 256>, 8>;
 
-constexpr Table8 make_table8(std::uint32_t poly) {
+constexpr auto kTable = [] {
+  constexpr std::uint32_t kPoly = 0x82F6'3B78u;  // reflected Castagnoli
   Table8 t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) ? (poly ^ (c >> 1)) : (c >> 1);
+      c = (c & 1u) ? (kPoly ^ (c >> 1)) : (c >> 1);
     }
     t[0][i] = c;
   }
@@ -29,13 +30,10 @@ constexpr Table8 make_table8(std::uint32_t poly) {
     }
   }
   return t;
-}
+}();
 
-constexpr auto kTableIso = make_table8(0xEDB8'8320u);
-constexpr auto kTableCastagnoli = make_table8(0x82F6'3B78u);
-
-std::uint32_t crc_sliced(const Table8& t, ByteSpan data,
-                         std::uint32_t seed) noexcept {
+std::uint32_t crc_sliced(ByteSpan data, std::uint32_t seed) noexcept {
+  const Table8& t = kTable;
   std::uint32_t c = seed ^ 0xFFFF'FFFFu;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
@@ -146,10 +144,6 @@ bool crc32c_hw_available() noexcept {
 
 }  // namespace
 
-std::uint32_t crc32(ByteSpan data, std::uint32_t seed) noexcept {
-  return crc_sliced(kTableIso, data, seed);
-}
-
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed) noexcept {
 #ifdef SCIPREP_CRC32C_HW
   if (crc32c_hw_available()) return crc32c_hw(data, seed);
@@ -158,7 +152,7 @@ std::uint32_t crc32c(ByteSpan data, std::uint32_t seed) noexcept {
 }
 
 std::uint32_t crc32c_sliced(ByteSpan data, std::uint32_t seed) noexcept {
-  return crc_sliced(kTableCastagnoli, data, seed);
+  return crc_sliced(data, seed);
 }
 
 }  // namespace sciprep

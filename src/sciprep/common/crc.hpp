@@ -1,5 +1,5 @@
-// CRC-32 (ISO-HDLC / zlib polynomial, for gzip framing) and CRC-32C
-// (Castagnoli, for TFRecord), plus TFRecord's masked CRC transform.
+// CRC-32C (Castagnoli, for TFRecord and the wire frames), plus TFRecord's
+// masked CRC transform. gzip's CRC-32 is zlib's.
 #pragma once
 
 #include <cstdint>
@@ -8,12 +8,9 @@
 
 namespace sciprep {
 
-/// CRC-32 with polynomial 0xEDB88320 (reflected), as used by gzip/zlib.
-/// `seed` is the running CRC for incremental computation (start at 0).
-std::uint32_t crc32(ByteSpan data, std::uint32_t seed = 0) noexcept;
-
 /// CRC-32C with polynomial 0x82F63B78 (reflected Castagnoli), as used by
-/// TFRecord. Uses SSE4.2's crc32 instruction where the host has it.
+/// TFRecord. `seed` is the running CRC for incremental computation (start
+/// at 0). Uses SSE4.2's crc32 instruction where the host has it.
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0) noexcept;
 
 /// CRC-32C by the portable slice-by-8 tables alone: crc32c's fallback, and

@@ -232,7 +232,9 @@ void ThreadPool::worker_loop() {
 }
 
 ThreadPool& global_pool() {
-  static ThreadPool pool;
+  // Leaked on purpose: joining its workers at exit would race the other
+  // statics their tasks use (the tracer, the registry) being destroyed.
+  static auto& pool = *new ThreadPool;
   return pool;
 }
 

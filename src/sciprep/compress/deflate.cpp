@@ -1,456 +1,130 @@
 #include "sciprep/compress/deflate.hpp"
 
-#include <algorithm>
-#include <array>
-#include <cstring>
+#include <zlib.h>
 
-#include "sciprep/common/bitstream.hpp"
+#include <algorithm>
+#include <climits>
+#include <cstring>
+#include <memory>
+
 #include "sciprep/common/error.hpp"
-#include "sciprep/compress/huffman.hpp"
+#include "sciprep/compress/gzip.hpp"
 
 namespace sciprep::compress {
 
 namespace {
 
-// RFC 1951 §3.2.5 length code table: code 257..285 -> (base length, extra bits).
-struct LengthCode {
-  std::uint16_t base;
-  std::uint8_t extra;
-};
-constexpr std::array<LengthCode, 29> kLengthCodes = {{
-    {3, 0},  {4, 0},  {5, 0},  {6, 0},  {7, 0},  {8, 0},  {9, 0},  {10, 0},
-    {11, 1}, {13, 1}, {15, 1}, {17, 1}, {19, 2}, {23, 2}, {27, 2}, {31, 2},
-    {35, 3}, {43, 3}, {51, 3}, {59, 3}, {67, 4}, {83, 4}, {99, 4}, {115, 4},
-    {131, 5}, {163, 5}, {195, 5}, {227, 5}, {258, 0},
-}};
+// zlib's window-bits selectors: negative means a raw DEFLATE stream, and
+// 16 + 15 one gzip member whose header, CRC-32 and ISIZE zlib checks itself.
+constexpr int kRawWindowBits = -15;
+constexpr int kGzipWindowBits = 16 + 15;
 
-// Distance code table: code 0..29 -> (base distance, extra bits).
-struct DistCode {
-  std::uint16_t base;
-  std::uint8_t extra;
-};
-constexpr std::array<DistCode, 30> kDistCodes = {{
-    {1, 0},     {2, 0},     {3, 0},     {4, 0},     {5, 1},    {7, 1},
-    {9, 2},     {13, 2},    {17, 3},    {25, 3},    {33, 4},   {49, 4},
-    {65, 5},    {97, 5},    {129, 6},   {193, 6},   {257, 7},  {385, 7},
-    {513, 8},   {769, 8},   {1025, 9},  {1537, 9},  {2049, 10}, {3073, 10},
-    {4097, 11}, {6145, 11}, {8193, 12}, {12289, 12}, {16385, 13}, {24577, 13},
-}};
+// A DEFLATE stream cannot expand more than 1032:1 (one 258-byte match per two
+// bits), so no valid stream of n bytes inflates past 1032 n.
+constexpr std::size_t kMaxInflateRatio = 1032;
 
-// Order in which code-length-code lengths are transmitted (§3.2.7).
-constexpr std::array<std::uint8_t, 19> kClcOrder = {
-    16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15};
+/// Calls deflateEnd or inflateEnd on a z_stream however its scope is left.
+using StreamEnd = std::unique_ptr<z_stream, int (*)(z_streamp)>;
 
-constexpr std::size_t kLitLenAlphabet = 286;
-constexpr std::size_t kDistAlphabet = 30;
-constexpr std::uint16_t kEndOfBlock = 256;
-
-int length_to_code(int length) {
-  SCIPREP_ASSERT(length >= kMinMatch && length <= kMaxMatch);
-  // Linear scan is fine: the table is tiny and this is per-token.
-  for (int c = static_cast<int>(kLengthCodes.size()) - 1; c >= 0; --c) {
-    if (length >= kLengthCodes[static_cast<std::size_t>(c)].base) return c;
-  }
-  return 0;
+/// Points zlib's input and output windows past what it has already consumed
+/// and produced. z_stream counts in uInt, so a window holds at most 4 GiB.
+void refill(z_stream& z, ByteSpan in, Bytes& out) {
+  // zlib never writes through next_in; the cast is its C API's.
+  z.next_in = const_cast<Bytef*>(in.data()) + z.total_in;
+  z.avail_in = static_cast<uInt>(
+      std::min<std::size_t>(in.size() - z.total_in, UINT_MAX));
+  z.next_out = out.data() + z.total_out;
+  z.avail_out = static_cast<uInt>(
+      std::min<std::size_t>(out.size() - z.total_out, UINT_MAX));
 }
 
-int distance_to_code(int distance) {
-  SCIPREP_ASSERT(distance >= 1 && distance <= 32768);
-  for (int c = static_cast<int>(kDistCodes.size()) - 1; c >= 0; --c) {
-    if (distance >= kDistCodes[static_cast<std::size_t>(c)].base) return c;
+Bytes compress_stream(ByteSpan input, int window_bits, const char* what) {
+  z_stream z{};
+  if (deflateInit2(&z, Z_DEFAULT_COMPRESSION, Z_DEFLATED, window_bits, 8,
+                   Z_DEFAULT_STRATEGY) != Z_OK) {
+    throw Error(fmt("{}: zlib init failed", what));
   }
-  return 0;
-}
-
-/// Fixed literal/length code lengths (§3.2.6).
-std::vector<std::uint8_t> fixed_litlen_lengths() {
-  std::vector<std::uint8_t> lengths(288);
-  for (std::size_t s = 0; s <= 143; ++s) lengths[s] = 8;
-  for (std::size_t s = 144; s <= 255; ++s) lengths[s] = 9;
-  for (std::size_t s = 256; s <= 279; ++s) lengths[s] = 7;
-  for (std::size_t s = 280; s <= 287; ++s) lengths[s] = 8;
-  return lengths;
-}
-
-std::vector<std::uint8_t> fixed_dist_lengths() {
-  return std::vector<std::uint8_t>(30, 5);
-}
-
-struct TokenHistogram {
-  std::array<std::uint64_t, kLitLenAlphabet> litlen{};
-  std::array<std::uint64_t, kDistAlphabet> dist{};
-};
-
-TokenHistogram histogram(const std::vector<Token>& tokens) {
-  TokenHistogram h;
-  for (const Token& t : tokens) {
-    if (t.is_literal()) {
-      ++h.litlen[t.literal];
-    } else {
-      ++h.litlen[static_cast<std::size_t>(257 + length_to_code(t.length))];
-      ++h.dist[static_cast<std::size_t>(distance_to_code(t.distance))];
-    }
+  const StreamEnd end(&z, deflateEnd);
+  // deflateBound leaves room for the whole stream, so deflate only returns
+  // Z_OK while it still has input windows to take.
+  Bytes out(deflateBound(&z, input.size()));
+  int rc = Z_OK;
+  while (rc == Z_OK) {
+    refill(z, input, out);
+    const bool last = z.total_in + z.avail_in == input.size();
+    rc = ::deflate(&z, last ? Z_FINISH : Z_NO_FLUSH);
   }
-  ++h.litlen[kEndOfBlock];
-  return h;
-}
-
-void emit_tokens(BitWriter& out, const std::vector<Token>& tokens,
-                 const HuffmanEncoder& lit, const HuffmanEncoder& dst) {
-  for (const Token& t : tokens) {
-    if (t.is_literal()) {
-      lit.emit(out, t.literal);
-      continue;
-    }
-    const int lc = length_to_code(t.length);
-    const auto& lentry = kLengthCodes[static_cast<std::size_t>(lc)];
-    lit.emit(out, static_cast<std::size_t>(257 + lc));
-    if (lentry.extra > 0) {
-      out.put_bits(static_cast<std::uint32_t>(t.length - lentry.base),
-                   lentry.extra);
-    }
-    const int dc = distance_to_code(t.distance);
-    const auto& dentry = kDistCodes[static_cast<std::size_t>(dc)];
-    dst.emit(out, static_cast<std::size_t>(dc));
-    if (dentry.extra > 0) {
-      out.put_bits(static_cast<std::uint32_t>(t.distance - dentry.base),
-                   dentry.extra);
-    }
-  }
-  lit.emit(out, kEndOfBlock);
-}
-
-/// Estimate the encoded token cost in bits under the given code lengths.
-std::uint64_t token_cost_bits(const TokenHistogram& h,
-                              std::span<const std::uint8_t> lit_lengths,
-                              std::span<const std::uint8_t> dist_lengths) {
-  std::uint64_t bits = 0;
-  for (std::size_t s = 0; s < kLitLenAlphabet; ++s) {
-    bits += h.litlen[s] * lit_lengths[s];
-  }
-  // Extra bits for length symbols.
-  for (std::size_t c = 0; c < kLengthCodes.size(); ++c) {
-    bits += h.litlen[257 + c] * kLengthCodes[c].extra;
-  }
-  for (std::size_t c = 0; c < kDistAlphabet; ++c) {
-    bits += h.dist[c] * (dist_lengths[c] + kDistCodes[c].extra);
-  }
-  return bits;
-}
-
-/// Run-length encode code lengths with symbols 16/17/18 (§3.2.7).
-struct ClcSymbol {
-  std::uint8_t symbol;
-  std::uint8_t extra_value;
-  std::uint8_t extra_bits;
-};
-
-std::vector<ClcSymbol> rle_code_lengths(std::span<const std::uint8_t> lengths) {
-  std::vector<ClcSymbol> out;
-  std::size_t i = 0;
-  while (i < lengths.size()) {
-    const std::uint8_t len = lengths[i];
-    std::size_t run = 1;
-    while (i + run < lengths.size() && lengths[i + run] == len) ++run;
-    if (len == 0) {
-      std::size_t left = run;
-      while (left >= 11) {
-        const auto take = static_cast<std::uint8_t>(std::min<std::size_t>(left, 138));
-        out.push_back({18, static_cast<std::uint8_t>(take - 11), 7});
-        left -= take;
-      }
-      while (left >= 3) {
-        const auto take = static_cast<std::uint8_t>(std::min<std::size_t>(left, 10));
-        out.push_back({17, static_cast<std::uint8_t>(take - 3), 3});
-        left -= take;
-      }
-      while (left-- > 0) out.push_back({0, 0, 0});
-    } else {
-      out.push_back({len, 0, 0});
-      std::size_t left = run - 1;
-      while (left >= 3) {
-        const auto take = static_cast<std::uint8_t>(std::min<std::size_t>(left, 6));
-        out.push_back({16, static_cast<std::uint8_t>(take - 3), 2});
-        left -= take;
-      }
-      while (left-- > 0) out.push_back({len, 0, 0});
-    }
-    i += run;
-  }
+  SCIPREP_ASSERT(rc == Z_STREAM_END);
+  out.resize(z.total_out);
+  // The bound-sized buffer is resident (zero-filled); keep only the stream.
+  out.shrink_to_fit();
   return out;
 }
 
-struct DynamicHeader {
-  std::vector<std::uint8_t> lit_lengths;   // trimmed to hlit
-  std::vector<std::uint8_t> dist_lengths;  // trimmed to hdist
-  std::vector<ClcSymbol> clc_stream;
-  std::vector<std::uint8_t> clc_lengths;  // 19 entries
-  std::uint64_t header_bits = 0;
-};
-
-DynamicHeader build_dynamic_header(const TokenHistogram& h,
-                                   std::vector<std::uint8_t> lit_lengths,
-                                   std::vector<std::uint8_t> dist_lengths) {
-  DynamicHeader hdr;
-  // hlit >= 257, hdist >= 1.
-  std::size_t hlit = kLitLenAlphabet;
-  while (hlit > 257 && lit_lengths[hlit - 1] == 0) --hlit;
-  std::size_t hdist = kDistAlphabet;
-  while (hdist > 1 && dist_lengths[hdist - 1] == 0) --hdist;
-  lit_lengths.resize(hlit);
-  dist_lengths.resize(hdist);
-
-  std::vector<std::uint8_t> joined = lit_lengths;
-  joined.insert(joined.end(), dist_lengths.begin(), dist_lengths.end());
-  hdr.clc_stream = rle_code_lengths(joined);
-
-  std::array<std::uint64_t, 19> clc_freq{};
-  for (const auto& s : hdr.clc_stream) ++clc_freq[s.symbol];
-  hdr.clc_lengths = build_code_lengths(clc_freq, 7);
-
-  std::size_t hclen = 19;
-  while (hclen > 4 && hdr.clc_lengths[kClcOrder[hclen - 1]] == 0) --hclen;
-
-  hdr.header_bits = 5 + 5 + 4 + hclen * 3;
-  for (const auto& s : hdr.clc_stream) {
-    hdr.header_bits += hdr.clc_lengths[s.symbol] + s.extra_bits;
+Bytes decompress_stream(ByteSpan input, int window_bits, std::size_t size_hint,
+                        const char* what) {
+  if (input.empty()) throw_format("{}: empty stream", what);
+  z_stream z{};
+  if (inflateInit2(&z, window_bits) != Z_OK) {
+    throw Error(fmt("{}: zlib init failed", what));
   }
-  (void)h;
-  hdr.lit_lengths = std::move(lit_lengths);
-  hdr.dist_lengths = std::move(dist_lengths);
-  return hdr;
-}
-
-void emit_dynamic_header(BitWriter& out, const DynamicHeader& hdr) {
-  out.put_bits(static_cast<std::uint32_t>(hdr.lit_lengths.size() - 257), 5);
-  out.put_bits(static_cast<std::uint32_t>(hdr.dist_lengths.size() - 1), 5);
-  std::size_t hclen = 19;
-  while (hclen > 4 && hdr.clc_lengths[kClcOrder[hclen - 1]] == 0) --hclen;
-  out.put_bits(static_cast<std::uint32_t>(hclen - 4), 4);
-  for (std::size_t i = 0; i < hclen; ++i) {
-    out.put_bits(hdr.clc_lengths[kClcOrder[i]], 3);
-  }
-  const HuffmanEncoder clc(hdr.clc_lengths);
-  for (const auto& s : hdr.clc_stream) {
-    clc.emit(out, s.symbol);
-    if (s.extra_bits > 0) {
-      out.put_bits(s.extra_value, s.extra_bits);
-    }
-  }
-}
-
-MatcherConfig matcher_for(DeflateLevel level) {
-  switch (level) {
-    case DeflateLevel::kFast:
-      return {.max_chain = 8, .nice_length = 16, .lazy = false};
-    case DeflateLevel::kDefault:
-      return {.max_chain = 128, .nice_length = 128, .lazy = true};
-    case DeflateLevel::kBest:
-      return {.max_chain = 1024, .nice_length = kMaxMatch, .lazy = true};
-  }
-  return {};
-}
-
-}  // namespace
-
-Bytes deflate(ByteSpan input, DeflateLevel level) {
-  BitWriter out;
-
-  // Process in blocks so histograms stay adaptive for heterogeneous data.
-  constexpr std::size_t kBlockSize = 256 * 1024;
-  std::size_t offset = 0;
-  const std::size_t nblocks = std::max<std::size_t>(1, (input.size() + kBlockSize - 1) / kBlockSize);
-
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const bool final_block = (b + 1 == nblocks);
-    const std::size_t take = std::min(kBlockSize, input.size() - offset);
-    // NOTE: tokenizing per block forgoes cross-block matches; acceptable for
-    // a baseline comparator and keeps blocks independent.
-    const ByteSpan chunk = input.subspan(offset, take);
-    offset += take;
-
-    const auto tokens = lz77_tokenize(chunk, matcher_for(level));
-    const TokenHistogram h = histogram(tokens);
-
-    // Candidate 1: fixed Huffman.
-    const auto fixed_lit = fixed_litlen_lengths();
-    const auto fixed_dst = fixed_dist_lengths();
-    const std::uint64_t fixed_bits =
-        token_cost_bits(h, std::span(fixed_lit).first(kLitLenAlphabet),
-                        fixed_dst);
-
-    // Candidate 2: dynamic Huffman.
-    auto dyn_lit = build_code_lengths(h.litlen);
-    auto dyn_dst = build_code_lengths(h.dist);
-    // DEFLATE requires at least one distance code description even when no
-    // matches exist; and at least 2 to avoid the single-code edge in some
-    // decoders. Give length-1 codes to dist 0/1 when empty.
-    if (std::all_of(dyn_dst.begin(), dyn_dst.end(),
-                    [](std::uint8_t l) { return l == 0; })) {
-      dyn_dst[0] = 1;
-    }
-    const std::uint64_t dyn_token_bits = token_cost_bits(h, dyn_lit, dyn_dst);
-    const DynamicHeader hdr =
-        build_dynamic_header(h, std::move(dyn_lit), std::move(dyn_dst));
-    const std::uint64_t dyn_bits = hdr.header_bits + dyn_token_bits;
-
-    // Candidate 3: stored block (byte-aligned; 5 bytes of header per 65535).
-    const std::uint64_t stored_bits =
-        (take / 65535 + 1) * 5 * 8 + take * 8 + 7 /*alignment upper bound*/;
-
-    if (stored_bits < fixed_bits && stored_bits < dyn_bits) {
-      std::size_t rem = take;
-      std::size_t pos = 0;
-      do {
-        const std::size_t piece = std::min<std::size_t>(rem, 65535);
-        const bool last_piece = final_block && piece == rem;
-        out.put_bits(last_piece ? 1u : 0u, 1);
-        out.put_bits(0b00, 2);  // stored
-        out.align_to_byte();
-        ByteWriter w;
-        w.put<std::uint16_t>(static_cast<std::uint16_t>(piece));
-        w.put<std::uint16_t>(static_cast<std::uint16_t>(~piece & 0xFFFFu));
-        out.put_bytes(w.bytes());
-        out.put_bytes(chunk.subspan(pos, piece));
-        pos += piece;
-        rem -= piece;
-      } while (rem > 0);
-      continue;
-    }
-
-    out.put_bits(final_block ? 1u : 0u, 1);
-    if (fixed_bits <= dyn_bits) {
-      out.put_bits(0b01, 2);  // fixed
-      const HuffmanEncoder lit(fixed_lit);
-      const HuffmanEncoder dst(fixed_dst);
-      emit_tokens(out, tokens, lit, dst);
-    } else {
-      out.put_bits(0b10, 2);  // dynamic
-      emit_dynamic_header(out, hdr);
-      const HuffmanEncoder lit(hdr.lit_lengths);
-      const HuffmanEncoder dst(hdr.dist_lengths);
-      emit_tokens(out, tokens, lit, dst);
-    }
-  }
-
-  return std::move(out).finish();
-}
-
-namespace {
-
-void inflate_block(BitReader& in, Bytes& out, const HuffmanDecoder& lit,
-                   const HuffmanDecoder& dst) {
+  const StreamEnd end(&z, inflateEnd);
+  const std::size_t cap = kMaxInflateRatio * input.size();
+  // Never empty: zlib rejects a null output window.
+  Bytes out(std::min(cap, std::max<std::size_t>(size_hint, 1)));
   for (;;) {
-    const std::uint16_t sym = lit.decode(in);
-    if (sym == kEndOfBlock) return;
-    if (sym < 256) {
-      out.push_back(static_cast<std::uint8_t>(sym));
+    refill(z, input, out);
+    const int rc = ::inflate(&z, Z_NO_FLUSH);
+    if (rc == Z_STREAM_END) break;
+    if (rc == Z_DATA_ERROR || rc == Z_NEED_DICT) {
+      throw_format("{}: {}", what,
+                   z.msg != nullptr ? z.msg : "needs a preset dictionary");
+    }
+    if (rc == Z_MEM_ERROR) throw Error(fmt("{}: zlib out of memory", what));
+    // Otherwise zlib stopped for want of input or output room.
+    SCIPREP_ASSERT(rc == Z_OK || rc == Z_BUF_ERROR);
+    if (z.total_out < out.size()) {
+      if (z.total_in == input.size()) {
+        throw_format("{}: stream ends before its final block", what);
+      }
       continue;
     }
-    if (sym >= 286) {
-      throw_format("deflate: invalid literal/length symbol {}", sym);
+    if (out.size() == cap) {
+      throw_format("{}: output passes DEFLATE's 1032:1 bound", what);
     }
-    const auto& lentry = kLengthCodes[static_cast<std::size_t>(sym - 257)];
-    const int length =
-        lentry.base + static_cast<int>(in.get_bits(lentry.extra));
-    const std::uint16_t dsym = dst.decode(in);
-    if (dsym >= kDistCodes.size()) {
-      throw_format("deflate: invalid distance symbol {}", dsym);
-    }
-    const auto& dentry = kDistCodes[dsym];
-    const std::size_t distance =
-        dentry.base + in.get_bits(dentry.extra);
-    if (distance > out.size()) {
-      throw_format("deflate: distance {} exceeds output size {}", distance,
-                   out.size());
-    }
-    // Byte-at-a-time copy: overlapping copies (distance < length) must
-    // replicate, per the RFC.
-    std::size_t src = out.size() - distance;
-    for (int i = 0; i < length; ++i) {
-      out.push_back(out[src++]);
-    }
+    out.resize(std::min(cap, std::max<std::size_t>(2 * out.size(), 4096)));
   }
+  if (z.total_in != input.size()) {
+    throw_format("{}: {} bytes trail the stream", what,
+                 input.size() - z.total_in);
+  }
+  out.resize(z.total_out);
+  return out;
 }
 
 }  // namespace
+
+Bytes deflate(ByteSpan input) {
+  return compress_stream(input, kRawWindowBits, "deflate");
+}
 
 Bytes inflate(ByteSpan input, std::size_t size_hint) {
-  BitReader in(input);
-  Bytes out;
-  out.reserve(size_hint != 0 ? size_hint : input.size() * 4);
+  return decompress_stream(input, kRawWindowBits, size_hint, "deflate");
+}
 
-  bool final_block = false;
-  while (!final_block) {
-    final_block = in.get_bit() != 0;
-    const std::uint32_t btype = in.get_bits(2);
-    switch (btype) {
-      case 0b00: {  // stored
-        in.align_to_byte();
-        ByteReader hdr(in.get_bytes(4));
-        const auto len = hdr.get<std::uint16_t>();
-        const auto nlen = hdr.get<std::uint16_t>();
-        if ((len ^ nlen) != 0xFFFFu) {
-          throw_format("deflate: stored block LEN/NLEN mismatch");
-        }
-        const ByteSpan payload = in.get_bytes(len);
-        out.insert(out.end(), payload.begin(), payload.end());
-        break;
-      }
-      case 0b01: {  // fixed
-        const HuffmanDecoder lit(fixed_litlen_lengths());
-        const HuffmanDecoder dst(fixed_dist_lengths());
-        inflate_block(in, out, lit, dst);
-        break;
-      }
-      case 0b10: {  // dynamic
-        const std::size_t hlit = in.get_bits(5) + 257;
-        const std::size_t hdist = in.get_bits(5) + 1;
-        const std::size_t hclen = in.get_bits(4) + 4;
-        if (hlit > kLitLenAlphabet || hdist > kDistAlphabet) {
-          throw_format("deflate: dynamic header out of range (hlit={} hdist={})",
-                       hlit, hdist);
-        }
-        std::vector<std::uint8_t> clc_lengths(19, 0);
-        for (std::size_t i = 0; i < hclen; ++i) {
-          clc_lengths[kClcOrder[i]] =
-              static_cast<std::uint8_t>(in.get_bits(3));
-        }
-        const HuffmanDecoder clc(clc_lengths);
-        std::vector<std::uint8_t> joined;
-        joined.reserve(hlit + hdist);
-        while (joined.size() < hlit + hdist) {
-          const std::uint16_t sym = clc.decode(in);
-          if (sym < 16) {
-            joined.push_back(static_cast<std::uint8_t>(sym));
-          } else if (sym == 16) {
-            if (joined.empty()) {
-              throw_format("deflate: repeat code with no previous length");
-            }
-            const std::size_t run = 3 + in.get_bits(2);
-            joined.insert(joined.end(), run, joined.back());
-          } else if (sym == 17) {
-            const std::size_t run = 3 + in.get_bits(3);
-            joined.insert(joined.end(), run, 0);
-          } else {  // 18
-            const std::size_t run = 11 + in.get_bits(7);
-            joined.insert(joined.end(), run, 0);
-          }
-        }
-        if (joined.size() != hlit + hdist) {
-          throw_format("deflate: code length stream overruns header counts");
-        }
-        const std::span<const std::uint8_t> js(joined);
-        const HuffmanDecoder lit(js.first(hlit));
-        const HuffmanDecoder dst(js.subspan(hlit));
-        inflate_block(in, out, lit, dst);
-        break;
-      }
-      default:
-        throw_format("deflate: reserved block type 3");
-    }
+Bytes gzip_compress(ByteSpan input) {
+  return compress_stream(input, kGzipWindowBits, "gzip");
+}
+
+Bytes gzip_decompress(ByteSpan input) {
+  // ISIZE, the member's last four bytes, sizes the output in one allocation.
+  // zlib checks it only after inflating, so it is a hint like any other.
+  std::uint32_t isize = 0;
+  if (input.size() >= sizeof(isize)) {
+    std::memcpy(&isize, input.data() + input.size() - sizeof(isize),
+                sizeof(isize));
   }
-  return out;
+  return decompress_stream(input, kGzipWindowBits, isize, "gzip");
 }
 
 }  // namespace sciprep::compress

@@ -1,26 +1,22 @@
-// DEFLATE (RFC 1951) compressor and decompressor, implemented from scratch.
+// DEFLATE (RFC 1951) over the system zlib, at zlib's default level.
 //
-// This is the general-purpose compression baseline the paper compares its
-// domain codecs against (TFRecord's GZIP option). Supports stored, fixed-
-// Huffman, and dynamic-Huffman blocks; the compressor picks per block
-// whichever of {stored, fixed, dynamic} is smallest.
+// Raw streams carry the DeepCAM codec's labels; gzip.hpp frames the same
+// streams for the paper's TFRecord GZIP baseline.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "sciprep/common/buffer.hpp"
-#include "sciprep/compress/lz77.hpp"
 
 namespace sciprep::compress {
 
-/// Compression effort knobs (roughly zlib levels 1/6/9).
-enum class DeflateLevel { kFast, kDefault, kBest };
-
 /// Compress `input` into a raw DEFLATE stream.
-Bytes deflate(ByteSpan input, DeflateLevel level = DeflateLevel::kDefault);
+Bytes deflate(ByteSpan input);
 
-/// Decompress a raw DEFLATE stream. `size_hint` preallocates the output.
-/// Throws FormatError on any stream corruption.
+/// Decompress one raw DEFLATE stream that spans all of `input`. `size_hint`
+/// sizes the first output allocation; no allocation exceeds DEFLATE's 1032:1
+/// bound on `input.size()`. Throws FormatError on corruption, truncation or
+/// trailing bytes.
 Bytes inflate(ByteSpan input, std::size_t size_hint = 0);
 
 }  // namespace sciprep::compress

@@ -3,6 +3,7 @@
 #include "sciprep/common/crc.hpp"
 #include "sciprep/common/error.hpp"
 #include "sciprep/common/sysio.hpp"
+#include "sciprep/compress/gzip.hpp"
 #include "sciprep/guard/cancel.hpp"
 
 namespace sciprep::io {
@@ -75,8 +76,8 @@ std::vector<Bytes> TfRecordReader::read_all(ByteSpan stream) {
   return records;
 }
 
-Bytes gzip_tfrecord_stream(ByteSpan stream, compress::DeflateLevel level) {
-  return compress::gzip_compress(stream, level);
+Bytes gzip_tfrecord_stream(ByteSpan stream) {
+  return compress::gzip_compress(stream);
 }
 
 Bytes gunzip_tfrecord_stream(ByteSpan stream) {

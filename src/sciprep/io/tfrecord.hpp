@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sciprep/common/buffer.hpp"
-#include "sciprep/compress/gzip.hpp"
 
 namespace sciprep::io {
 
@@ -54,9 +53,7 @@ class TfRecordReader {
 };
 
 /// Compress a TFRecord stream the way tf.io.TFRecordOptions(GZIP) does.
-Bytes gzip_tfrecord_stream(ByteSpan stream,
-                           compress::DeflateLevel level =
-                               compress::DeflateLevel::kDefault);
+Bytes gzip_tfrecord_stream(ByteSpan stream);
 
 /// Inverse of gzip_tfrecord_stream.
 Bytes gunzip_tfrecord_stream(ByteSpan stream);

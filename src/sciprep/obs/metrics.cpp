@@ -12,7 +12,8 @@
 namespace sciprep::obs {
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
+  // Leaked on purpose: a pool worker still running at exit may record here.
+  static auto& registry = *new MetricsRegistry;
   static const bool wired = [] {
     // Pre-create so every dump shows them, then mirror log events as they
     // happen. The hook only fires after this block completes, so the

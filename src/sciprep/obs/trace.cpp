@@ -25,7 +25,8 @@ Tracer::Tracer(std::size_t capacity)
 }
 
 Tracer& Tracer::global() {
-  static Tracer tracer;
+  // Leaked on purpose: a pool worker still running at exit may record here.
+  static auto& tracer = *new Tracer;
   return tracer;
 }
 

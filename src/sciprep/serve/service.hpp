@@ -226,6 +226,9 @@ class DataService {
   [[nodiscard]] std::uint64_t config_fingerprint() const noexcept {
     return fingerprint_;
   }
+  [[nodiscard]] double lease_deadline_seconds() const noexcept {
+    return config_.lease_deadline_seconds;
+  }
   /// Admission charge probe: decoded bytes of sample 0 (what one in-flight
   /// sample costs resident).
   [[nodiscard]] std::uint64_t probe_sample_bytes() const noexcept {

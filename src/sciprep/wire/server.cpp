@@ -16,6 +16,9 @@ namespace sciprep::wire {
 
 namespace {
 
+/// Pending-connection queue of the listening socket.
+constexpr int kListenBacklog = 16;
+
 /// Thrown by a handler to sever the connection without replying — the
 /// injected wire.conn_drop fault and unrecoverable protocol violations.
 struct DropConnection {
@@ -49,6 +52,9 @@ WireServer::WireServer(serve::DataService& service,
   if (config_.request_timeout_seconds <= 0) {
     throw ConfigError("wire: request_timeout_seconds must be > 0");
   }
+  if (!(service_.lease_deadline_seconds() > 0)) {
+    throw ConfigError("wire: the service's lease deadline must be > 0");
+  }
   for (serve::TenantSpec& spec : tenants) {
     if (spec.name.empty()) {
       throw ConfigError("wire: tenant name must be non-empty");
@@ -67,7 +73,7 @@ void WireServer::start() {
     throw ConfigError("wire: server already started");
   }
   ignore_sigpipe();
-  listener_ = listen_unix(config_.socket_path, config_.listen_backlog);
+  listener_ = listen_unix(config_.socket_path, kListenBacklog);
   // A short accept deadline keeps the accept loop responsive to stop().
   set_io_deadline(listener_, 0.2);
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -148,9 +154,8 @@ void WireServer::accept_loop() {
 }
 
 void WireServer::sweep_loop() {
-  const double interval = config_.sweep_interval_seconds > 0
-                              ? config_.sweep_interval_seconds
-                              : 1.0;
+  // Half the lease deadline: a lost consumer is swept within 1.5 deadlines.
+  const double interval = service_.lease_deadline_seconds() / 2;
   std::mutex wait_mutex;
   while (!stop_.load()) {
     {

@@ -59,9 +59,6 @@ struct WireServerConfig {
   /// can be pinned by a stalled peer; an idle-but-live connection just sees
   /// the read time out and polls again.
   double request_timeout_seconds = 5.0;
-  /// Lease sweep cadence; 0 derives half the service's lease deadline.
-  double sweep_interval_seconds = 0;
-  int listen_backlog = 16;
   /// Optional injector for transport-fault drills: site wire.frame_crc
   /// mutates outgoing BATCH frames (the client must detect every flip),
   /// site wire.conn_drop severs a connection mid-request instead of

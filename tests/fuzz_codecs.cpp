@@ -21,7 +21,7 @@ namespace sciprep::codec {
 namespace {
 
 // Enough trials to reach rare structural flips too: on the DeepCAM sample,
-// trials 191, 241 and 905 turn a delta line's mode byte into "constant".
+// trials 138, 264 and 329 turn a delta line's mode byte into "constant".
 constexpr int kFlipTrials = 1000;
 
 Bytes encoded_cosmo() {
@@ -132,7 +132,7 @@ TEST(FuzzCam, BitFlipsAreContainedOnCpuAndGpu) {
 }
 
 TEST(FuzzCam, EverySingleBitFlipIsContained) {
-  // All 8 x 1439 single-bit flips: the delta lines decode in the CPU's
+  // All 8 x 1429 single-bit flips: the delta lines decode in the CPU's
   // lane groups and the SimGpu's per-line kernel, so every corrupted code,
   // segment header and exponent must give both the same bits or the same
   // error; a flip the label inflate trips on must be corrupt, not fatal.

@@ -6,10 +6,10 @@
 #include <cmath>
 #include <tuple>
 
+#include "deflate_levels.hpp"
 #include "sciprep/codec/cam_codec.hpp"
 #include "sciprep/codec/cosmo_codec.hpp"
 #include "sciprep/common/rng.hpp"
-#include "sciprep/compress/gzip.hpp"
 #include "sciprep/data/cam_gen.hpp"
 #include "sciprep/data/cosmo_gen.hpp"
 #include "sciprep/sim/stepmodel.hpp"
@@ -112,10 +112,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // DEFLATE content-type sweep: ratio ordering must hold (constant < text <
-// float-counts < random) and every payload round-trips at every level.
+// float-counts < random) at every encoder level, and inflate reads each.
 // ---------------------------------------------------------------------------
 class DeflateContentSweep
-    : public ::testing::TestWithParam<compress::DeflateLevel> {};
+    : public ::testing::TestWithParam<compress::EncoderLevel> {};
 
 TEST_P(DeflateContentSweep, RatioOrderingByEntropy) {
   const auto level = GetParam();
@@ -131,7 +131,7 @@ TEST_P(DeflateContentSweep, RatioOrderingByEntropy) {
   for (auto& b : random) b = static_cast<std::uint8_t>(rng.next_u64());
 
   auto ratio = [&](const Bytes& data) {
-    const Bytes packed = compress::deflate(data, level);
+    const Bytes packed = compress::deflate_at(data, level);
     EXPECT_EQ(compress::inflate(packed, data.size()), data);
     return static_cast<double>(data.size()) /
            static_cast<double>(packed.size());
@@ -146,9 +146,9 @@ TEST_P(DeflateContentSweep, RatioOrderingByEntropy) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, DeflateContentSweep,
-                         ::testing::Values(compress::DeflateLevel::kFast,
-                                           compress::DeflateLevel::kDefault,
-                                           compress::DeflateLevel::kBest));
+                         ::testing::Values(compress::EncoderLevel::kFast,
+                                           compress::EncoderLevel::kDefault,
+                                           compress::EncoderLevel::kBest));
 
 // ---------------------------------------------------------------------------
 // Step-model monotonicity: the relationships the figures rest on.

@@ -811,7 +811,6 @@ TEST(WireEndToEnd, DeadConsumerIsSweptAndAReplacementResumesBitIdentically) {
   WireServerConfig wcfg;
   wcfg.socket_path = path;
   wcfg.request_timeout_seconds = 0.5;
-  wcfg.sweep_interval_seconds = 0.1;  // lease is 0.25s
   wcfg.metrics = &rig.registry;
   WireServer server(service, {WireRig::tenant("phoenix", 21, 2)}, wcfg);
   server.start();
