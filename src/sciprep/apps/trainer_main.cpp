@@ -1595,7 +1595,7 @@ struct WireClientRunResult {
   std::uint64_t trace_id = 0;
   flow::ClockOffset clock_offset;
   wire::TracePayload server_trace;    // server span ring + identity
-  obs::MetricsSnapshot server_totals; // accumulated per-tenant STATS deltas
+  obs::MetricsSnapshot server_totals; // the last STATS line's tenant totals
   std::string server_scope;           // "tenant/<name>" per the server
   std::string fleet_jsonl;            // fleet.v1 lines for --fleet-out
 };
@@ -1745,14 +1745,15 @@ int run_wire_client(RunContext& ctx) {
                 client.resumed() ? ", resumed" : "",
                 client.degraded() ? ", degraded" : "");
 
-    // One STATS pull = one fleet.v1 line: the server's per-tenant snapshot
-    // delta since the previous pull, stamped with this process's run clock.
+    // One STATS pull = one fleet.v1 line: the server's per-tenant totals and
+    // delta since the previous pull, renumbered into this file's series and
+    // stamped with this process's run clock.
     auto pull_fleet_line = [&]() {
-      const wire::StatsPayload pulled = client.pull_server_stats();
+      const obs::FleetLine pulled = client.pull_server_stats();
       out.fleet_jsonl += obs::fleet_line(
           pulled.scope, client.stats_pulls(),
           static_cast<double>(obs::Tracer::global().now_ns()) / 1e9,
-          client.server_totals(), pulled.delta);
+          pulled.totals, pulled.delta);
       out.fleet_jsonl += '\n';
     };
 
@@ -1767,8 +1768,8 @@ int run_wire_client(RunContext& ctx) {
     }
     if (args.trace_propagate) {
       // Final pulls before DETACH tears the session down: the closing STATS
-      // delta completes the fleet series (sum of deltas == the server's tenant
-      // registry), and the TRACE pull captures the server-side spans for this
+      // line completes the fleet series (sum of deltas == the server's tenant
+      // totals), and the TRACE pull captures the server-side spans for this
       // client's whole stream.
       if (args.fleet_out.empty()) {
         (void)client.pull_server_stats();  // totals still feed the analyzer

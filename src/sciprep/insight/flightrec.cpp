@@ -81,7 +81,7 @@ void FlightRecorder::record_incident(
     std::lock_guard lock(mutex_);
     LoggedEvent logged{event, tracer_->now_ns(), iso8601_utc_now()};
     decision_log_.push_back(logged);
-    while (decision_log_.size() > config_.max_decision_log) {
+    while (decision_log_.size() > kMaxDecisionLog) {
       decision_log_.pop_front();
     }
     if (config_.dir.empty()) return;

@@ -37,14 +37,15 @@
 
 namespace sciprep::insight {
 
+/// Recovery events retained in the rolling decision log.
+inline constexpr std::size_t kMaxDecisionLog = 64;
+
 struct FlightRecorderConfig {
   /// Directory incident files land in (created if missing). Files are named
   /// incident-<seq>-<kind>.json.
   std::string dir;
   /// Newest spans from the trace ring embedded per incident.
   std::size_t max_spans = 256;
-  /// Recovery events retained in the rolling decision log.
-  std::size_t max_decision_log = 64;
   /// Cap on incident files *per scope* (a rank, a tenant, or the "" process
   /// scope). A single-scope run behaves exactly as if this were a global
   /// cap; in a multi-tenant run each tenant spends its own.

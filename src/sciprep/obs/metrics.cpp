@@ -1,8 +1,10 @@
 #include "sciprep/obs/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <set>
+#include <type_traits>
 
 #include "sciprep/common/error.hpp"
 #include "sciprep/common/log.hpp"
@@ -239,6 +241,25 @@ std::string fleet_line(const std::string& scope, std::uint64_t seq,
   return line;
 }
 
+namespace {
+
+/// `v[key]` (0 when absent) as an integer of type Int, or false when the
+/// number is fractional or outside Int's range. JSON numbers parse as
+/// doubles, and casting an out-of-range double is undefined behaviour.
+template <typename Int>
+bool integer_field(const JsonValue& v, const char* key, Int& out) {
+  const double x = v.number_or(key, 0);
+  // 2^64 and 2^63 are exact doubles; both bounds are exclusive above.
+  constexpr double kLimit = std::is_signed_v<Int> ? 9223372036854775808.0
+                                                  : 18446744073709551616.0;
+  constexpr double kFloor = std::is_signed_v<Int> ? -kLimit : 0.0;
+  if (!(x >= kFloor && x < kLimit) || std::floor(x) != x) return false;
+  out = static_cast<Int>(x);
+  return true;
+}
+
+}  // namespace
+
 bool parse_fleet_line(std::string_view text, FleetLine& out) {
   JsonValue doc;
   if (!json_parse(text, doc) || doc.string_or("schema", "") != kFleetSchema) {
@@ -248,26 +269,29 @@ bool parse_fleet_line(std::string_view text, FleetLine& out) {
   out.scope = doc.string_or("scope", "");
   out.t = doc.number_or("t", 0);
   for (const auto& [name, v] : doc.at("counters").as_object()) {
-    out.totals.counters[name] =
-        static_cast<std::uint64_t>(v.number_or("total", 0));
-    out.delta.counters[name] =
-        static_cast<std::uint64_t>(v.number_or("delta", 0));
+    if (!integer_field(v, "total", out.totals.counters[name]) ||
+        !integer_field(v, "delta", out.delta.counters[name])) {
+      return false;
+    }
   }
   for (const auto& [name, v] : doc.at("gauges").as_object()) {
     MetricsSnapshot::GaugeValue g;
-    g.value = static_cast<std::int64_t>(v.number_or("value", 0));
-    g.high_watermark =
-        static_cast<std::int64_t>(v.number_or("high_watermark", 0));
+    if (!integer_field(v, "value", g.value) ||
+        !integer_field(v, "high_watermark", g.high_watermark)) {
+      return false;
+    }
     out.totals.gauges[name] = g;
     out.delta.gauges[name] = g;
   }
   for (const auto& [name, v] : doc.at("histograms").as_object()) {
-    out.totals.histograms[name] = {
-        static_cast<std::uint64_t>(v.number_or("count", 0)),
-        v.number_or("sum", 0)};
-    out.delta.histograms[name] = {
-        static_cast<std::uint64_t>(v.number_or("count_delta", 0)),
-        v.number_or("sum_delta", 0)};
+    MetricsSnapshot::HistogramSummary& total = out.totals.histograms[name];
+    MetricsSnapshot::HistogramSummary& delta = out.delta.histograms[name];
+    if (!integer_field(v, "count", total.count) ||
+        !integer_field(v, "count_delta", delta.count)) {
+      return false;
+    }
+    total.sum = v.number_or("sum", 0);
+    delta.sum = v.number_or("sum_delta", 0);
   }
   return true;
 }

@@ -170,7 +170,10 @@ struct FleetLine {
                                      const MetricsSnapshot& totals,
                                      const MetricsSnapshot& delta);
 
-/// Parse one fleet.v1 line; false for invalid JSON or any other schema.
+/// Parse one fleet.v1 line; false for invalid JSON, any other schema, or a
+/// count, total or gauge that is not an integer in its field's range.
+/// Lines come from foreign files and from the wire; `out` is unspecified
+/// on failure.
 [[nodiscard]] bool parse_fleet_line(std::string_view text, FleetLine& out);
 
 /// Prometheus text body over named scopes: per metric a TYPE line, one

@@ -204,6 +204,18 @@ void DataPipeline::start_epoch(std::uint64_t epoch) {
   }
 }
 
+void DataPipeline::park_pending() {
+  if (!pending_) return;
+  Pending pending = std::move(*pending_);
+  pending_.reset();
+  try {
+    ready_ = pending.future.get();
+  } catch (...) {
+    consumed_ = pending.first + pending.count;
+    throw;
+  }
+}
+
 void DataPipeline::extend_epoch_order(const std::vector<std::size_t>& tail) {
   for (const std::size_t id : tail) {
     if (id >= dataset_.size()) {
@@ -215,23 +227,14 @@ void DataPipeline::extend_epoch_order(const std::vector<std::size_t>& tail) {
   // Quiesce exactly like snapshot(): the in-flight prefetch claimed a range
   // of the *old* order, so it completes against that order and parks; the
   // appended tail only affects ranges claimed after this call.
-  if (pending_) {
-    Pending pending = std::move(*pending_);
-    pending_.reset();
-    try {
-      ready_ = pending.future.get();
-    } catch (...) {
-      consumed_ = pending.first + pending.count;
-      throw;
-    }
-  }
+  park_pending();
   order_.insert(order_.end(), tail.begin(), tail.end());
 }
 
 std::size_t DataPipeline::batches_per_epoch() const {
   const std::size_t n = order_.size();
   const auto b = static_cast<std::size_t>(config_.batch_size);
-  return config_.drop_last ? n / b : (n + b - 1) / b;
+  return (n + b - 1) / b;
 }
 
 codec::TensorF16 DataPipeline::decode_sample(std::size_t index) const {
@@ -589,9 +592,7 @@ std::uint64_t DataPipeline::take_count(std::uint64_t at) const {
   const std::uint64_t n = order_.size();
   const auto b = static_cast<std::uint64_t>(config_.batch_size);
   if (at >= n) return 0;
-  const std::uint64_t remaining = n - at;
-  if (remaining < b && config_.drop_last) return 0;
-  return std::min(b, remaining);
+  return std::min(b, n - at);
 }
 
 bool DataPipeline::next_batch(Batch& batch) {
@@ -667,16 +668,7 @@ guard::Snapshot DataPipeline::snapshot() {
   // accounting has not been applied, so the snapshot cuts cleanly at the
   // last delivered batch and a resumed pipeline re-produces the parked
   // batch from the same range.
-  if (pending_) {
-    Pending pending = std::move(*pending_);
-    pending_.reset();
-    try {
-      ready_ = pending.future.get();
-    } catch (...) {
-      consumed_ = pending.first + pending.count;
-      throw;
-    }
-  }
+  park_pending();
   guard::Snapshot s;
   s.config_fingerprint = config_fingerprint();
   s.epoch = epoch_;
@@ -745,7 +737,6 @@ std::uint64_t DataPipeline::config_fingerprint() const {
   mix(static_cast<std::uint64_t>(config_.batch_size));
   mix(config_.seed);
   mix(config_.shuffle ? 1 : 0);
-  mix(config_.drop_last ? 1 : 0);
   mix(static_cast<std::uint64_t>(config_.decode_placement));
   mix(config_.ops.size());
   mix(injector_ != nullptr ? injector_->seed() : 0);

@@ -65,7 +65,6 @@ struct PipelineConfig {
   std::size_t worker_threads = 2;   // CPU decode fan-out
   bool shuffle = true;
   std::uint64_t seed = 0;
-  bool drop_last = false;           // drop a trailing partial batch
   bool prefetch = true;             // overlap next-batch decode
   codec::Placement decode_placement = codec::Placement::kCpu;
   OpList ops;                       // applied post-decode, pre-batch
@@ -323,6 +322,10 @@ class DataPipeline {
   /// Cancel and drain an in-flight prefetch, discarding its result. The
   /// abandoned range's failure (if any) is swallowed.
   void abandon_pending();
+  /// Complete an in-flight prefetch and park its batch undelivered in
+  /// ready_ (accounting not yet applied). A failed range is marked consumed
+  /// and its exception rethrown.
+  void park_pending();
   /// Samples of the next range starting at `at`; 0 at epoch end.
   [[nodiscard]] std::uint64_t take_count(std::uint64_t at) const;
   /// Fetch + decode `index` through the configured path, with fault-injection

@@ -79,16 +79,6 @@ DataService::DataService(const pipeline::InMemoryDataset& dataset,
   if (limits.max_tenants < 1) {
     throw ConfigError("serve: max_tenants must be >= 1");
   }
-  if (limits.degrade_watermark <= 0 || limits.degrade_watermark > 1.0) {
-    throw ConfigError(fmt("serve: degrade_watermark {} must be in (0, 1]",
-                          limits.degrade_watermark));
-  }
-  if (limits.recover_watermark < 0 ||
-      limits.recover_watermark > limits.degrade_watermark) {
-    throw ConfigError(
-        fmt("serve: recover_watermark {} must be in [0, degrade_watermark {}]",
-            limits.recover_watermark, limits.degrade_watermark));
-  }
   if (!config_.checkpoint_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(config_.checkpoint_dir, ec);
@@ -165,19 +155,15 @@ std::uint64_t DataService::session_charge(const TenantSpec& spec,
 Admission DataService::admit_locked(const TenantSpec& spec) {
   const ServiceLimits& limits = config_.limits;
   if (free_slots_.empty()) return Admission::kRejected;
-  if (limits.max_queue_depth > 0 &&
-      pool_.queue_depth() > limits.max_queue_depth) {
-    return Admission::kRejected;
-  }
   if (limits.max_inflight_bytes == 0) return Admission::kAdmitted;
   const std::uint64_t full = session_charge(spec, spec.pipeline.prefetch);
   const double full_ratio =
       static_cast<double>(committed_ + full) /
       static_cast<double>(limits.max_inflight_bytes);
-  if (!shedding_ && full_ratio <= limits.degrade_watermark) {
+  if (!shedding_ && full_ratio <= kDegradeWatermark) {
     return Admission::kAdmitted;
   }
-  if (full_ratio > limits.degrade_watermark && !shedding_) {
+  if (full_ratio > kDegradeWatermark && !shedding_) {
     shedding_ = true;
     shedding_gauge_.set(1);
   }
@@ -282,7 +268,7 @@ void DataService::release_locked(Tenant& tenant) {
   if (shedding_ && config_.limits.max_inflight_bytes > 0 &&
       static_cast<double>(committed_) /
               static_cast<double>(config_.limits.max_inflight_bytes) <
-          config_.limits.recover_watermark) {
+          kRecoverWatermark) {
     shedding_ = false;
     shedding_gauge_.set(0);
   }

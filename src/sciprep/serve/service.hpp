@@ -14,11 +14,9 @@
 //     the service sheds: new sessions are admitted *degraded* — prefetch off
 //     and cache bypassed, halving their footprint — and past the budget they
 //     are rejected outright. Shedding clears only below the recover
-//     watermark (hysteresis, no admit/degrade flapping), and a bounded pool
-//     backlog (max_queue_depth) rejects sessions that would grow the queue
-//     without bound. Decisions are deterministic functions of the committed
-//     ledger, so an overload drill converges to the same admissions every
-//     run.
+//     watermark (hysteresis, no admit/degrade flapping). Decisions are
+//     deterministic functions of the committed ledger, so an overload drill
+//     converges to the same admissions every run.
 //
 //   * Tenant fault isolation. Each tenant runs its own DataPipeline on a
 //     private metrics registry and a private cancellation root, with its own
@@ -66,23 +64,21 @@
 
 namespace sciprep::serve {
 
-/// The service's overload budget. All limits are hard; the watermarks steer
-/// degradation before the hard edge.
+/// Committed/budget ratio at which shedding starts: sessions that would
+/// land above it are admitted degraded (prefetch off, cache bypass).
+inline constexpr double kDegradeWatermark = 0.75;
+/// Ratio below which shedding clears; the gap to kDegradeWatermark is the
+/// hysteresis band that prevents admit/degrade flapping.
+inline constexpr double kRecoverWatermark = 0.5;
+
+/// The service's overload budget. Both limits are hard; the watermarks
+/// steer degradation before the hard edge.
 struct ServiceLimits {
   /// Concurrently active sessions (also the heartbeat-lease slot count).
   std::size_t max_tenants = 8;
   /// In-flight decoded-bytes budget admissions are charged against; 0 means
   /// unlimited (watermarks and degradation never engage).
   std::uint64_t max_inflight_bytes = 256ull << 20;
-  /// Reject new sessions while the shared pool backlog exceeds this many
-  /// queued tasks; 0 disables the check.
-  std::size_t max_queue_depth = 0;
-  /// Committed/budget ratio at which shedding starts: sessions that would
-  /// land above it are admitted degraded (prefetch off, cache bypass).
-  double degrade_watermark = 0.75;
-  /// Ratio below which shedding clears. Must be <= degrade_watermark; the
-  /// gap is the hysteresis band that prevents admit/degrade flapping.
-  double recover_watermark = 0.5;
 };
 
 struct ServiceConfig {
@@ -131,7 +127,7 @@ struct TenantSpec {
 enum class Admission : int {
   kAdmitted = 0,  // full service: prefetch + shared cache
   kDegraded,      // shed mode: prefetch off, cache bypassed
-  kRejected,      // over budget / roster full / queue bound exceeded
+  kRejected,      // over budget / roster full
 };
 
 const char* admission_name(Admission admission) noexcept;

@@ -63,8 +63,20 @@ void WireClient::backoff(int attempt) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-void WireClient::ensure_attached() {
-  if (attached_ && conn_.valid()) return;
+template <typename Payload>
+FrameView WireClient::handshake(FrameType type, const Payload& request,
+                                FrameType want) {
+  send_frame(conn_, type, 0, request);
+  const FrameView reply = *recv_frame(conn_, reply_buf_, /*eof_ok=*/false);
+  if (reply.type != want && reply.type != FrameType::kError) {
+    throw ProtocolError(fmt("wire: expected {}, got {}", frame_type_name(want),
+                            frame_type_name(reply.type)));
+  }
+  return reply;
+}
+
+std::optional<FrameView> WireClient::ensure_attached() {
+  if (attached_ && conn_.valid()) return std::nullopt;
   next_in_flight_ = false;  // a fresh connection has no outstanding request
   conn_ = connect_unix(config_.socket_path);
   set_io_deadline(conn_, config_.request_timeout_seconds);
@@ -73,16 +85,8 @@ void WireClient::ensure_attached() {
   HelloPayload hello;
   hello.fingerprint = fingerprint_;  // 0 on first contact: accept any server
   hello.client = fmt("sciprep-wire/{}", kProtocolVersion);
-  send_frame(conn_, Frame{FrameType::kHello, 0, hello.encode()});
-  Frame reply;
-  (void)recv_frame(conn_, reply, /*eof_ok=*/false);
-  if (reply.type == FrameType::kError) {
-    throw_error_payload(ErrorPayload::decode(reply.payload));
-  }
-  if (reply.type != FrameType::kWelcome) {
-    throw ProtocolError(fmt("wire: expected WELCOME, got {}",
-                            frame_type_name(reply.type)));
-  }
+  FrameView reply = handshake(FrameType::kHello, hello, FrameType::kWelcome);
+  if (reply.type == FrameType::kError) return reply;
   const WelcomePayload welcome = WelcomePayload::decode(reply.payload);
   if (welcome.schema_version != kSchemaVersion) {
     throw ProtocolError(
@@ -101,15 +105,8 @@ void WireClient::ensure_attached() {
 
   AttachPayload attach;
   attach.tenant = config_.tenant;
-  send_frame(conn_, Frame{FrameType::kAttach, 0, attach.encode()});
-  (void)recv_frame(conn_, reply, /*eof_ok=*/false);
-  if (reply.type == FrameType::kError) {
-    throw_error_payload(ErrorPayload::decode(reply.payload));
-  }
-  if (reply.type != FrameType::kAttached) {
-    throw ProtocolError(fmt("wire: expected ATTACHED, got {}",
-                            frame_type_name(reply.type)));
-  }
+  reply = handshake(FrameType::kAttach, attach, FrameType::kAttached);
+  if (reply.type == FrameType::kError) return reply;
   const AttachedPayload attached = AttachedPayload::decode(reply.payload);
   session_ = attached.session;
   degraded_ = (reply.flags & kFlagDegraded) != 0;
@@ -135,128 +132,94 @@ void WireClient::ensure_attached() {
     for (int i = 0; i < kClockSyncRounds; ++i) {
       ClockSyncPayload ping;
       ping.t_client_ns = tracer_->now_ns();
-      send_frame(conn_, Frame{FrameType::kClockSync, 0, ping.encode()});
-      Frame pong_frame;
-      (void)recv_frame(conn_, pong_frame, /*eof_ok=*/false);
+      reply = handshake(FrameType::kClockSync, ping, FrameType::kClockSync);
       const std::uint64_t t_recv = tracer_->now_ns();
-      if (pong_frame.type == FrameType::kError) {
-        throw_error_payload(ErrorPayload::decode(pong_frame.payload));
-      }
-      if (pong_frame.type != FrameType::kClockSync) {
-        throw ProtocolError(fmt("wire: expected CLOCK_SYNC, got {}",
-                                frame_type_name(pong_frame.type)));
-      }
-      const ClockSyncPayload pong = ClockSyncPayload::decode(pong_frame.payload);
+      if (reply.type == FrameType::kError) return reply;
+      const ClockSyncPayload pong = ClockSyncPayload::decode(reply.payload);
       clock_estimator_.add_sample(
           flow::ClockSample{ping.t_client_ns, pong.t_server_ns, t_recv});
     }
     clock_offset_ = clock_estimator_.estimate();
   }
+  return std::nullopt;
 }
 
-FrameView WireClient::roundtrip(const Frame& request) {
+template <typename Payload>
+FrameView WireClient::roundtrip(FrameType type, std::uint8_t flags,
+                                const Payload& request) {
   for (int attempt = 0;; ++attempt) {
+    const bool last_attempt = attempt + 1 >= config_.max_reconnect_attempts;
+    std::optional<FrameView> reply;
     try {
-      ensure_attached();
-      if (next_in_flight_ && request.type == FrameType::kNext) {
-        // The pipelined NEXT carried this very ack (delivered is only
-        // bumped after a reply is consumed); its reply answers the caller.
-        (void)recv_frame_envelope(conn_, reply_buf_, /*eof_ok=*/false);
-        next_in_flight_ = false;
-      } else {
-        if (next_in_flight_) {
-          // The caller wants BEAT/DETACH while a pipelined NEXT is
-          // outstanding: drain and drop its reply (still validating the
-          // envelope — torn/corrupt bytes must reconnect, not desync). The
-          // server retained the frame, so a later NEXT's one-behind ack
-          // redelivers the batch (and a dropped END is re-sent) — nothing
-          // is lost.
-          (void)recv_frame_envelope(conn_, reply_buf_, /*eof_ok=*/false);
-          (void)decode_frame_view(reply_buf_);
-          next_in_flight_ = false;
-        }
-        send_frame(conn_, request);
-        (void)recv_frame_envelope(conn_, reply_buf_, /*eof_ok=*/false);
-      }
-      // Decoded in place: the payload view points into reply_buf_ and stays
-      // valid until the next receive.
-      const FrameView reply = decode_frame_view(reply_buf_);
-      if (reply.type == FrameType::kError) {
-        const ErrorPayload error = ErrorPayload::decode(reply.payload);
-        if (static_cast<ErrorClass>(error.error_class) ==
-            ErrorClass::kTransient) {
-          // Server-side pressure (admission shed, reattach contention):
-          // the connection is healthy, just back off and re-ask.
-          stats_.retries += 1;
-          if (attempt + 1 >= config_.max_reconnect_attempts) {
-            throw_error_payload(error);
+      reply = ensure_attached();
+      if (!reply) {
+        if (next_in_flight_ && type == FrameType::kNext) {
+          // The pipelined NEXT carried this very ack (delivered is only
+          // bumped after a reply is consumed); its reply answers the caller.
+        } else {
+          if (next_in_flight_) {
+            // The caller wants a control frame while a pipelined NEXT is
+            // outstanding: receive and drop its reply (recv_frame still
+            // validates the envelope — torn/corrupt bytes must reconnect,
+            // not desync). The server retained the frame, so a later NEXT's
+            // one-behind ack redelivers the batch (and a dropped END is
+            // re-sent) — nothing is lost.
+            (void)recv_frame(conn_, reply_buf_, /*eof_ok=*/false);
           }
-          backoff(attempt);
-          continue;
+          send_frame(conn_, type, flags, request);
         }
-        throw_error_payload(error);  // typed; not a transport failure
+        next_in_flight_ = false;
+        reply = recv_frame(conn_, reply_buf_, /*eof_ok=*/false);
       }
-      return reply;
-    } catch (const TransientError& e) {
-      if (attempt + 1 >= config_.max_reconnect_attempts) throw;
-      log_warn(
-          fmt("wire: transport stall ({}); reconnecting", e.what()));
+    } catch (const Error& e) {
+      // The one transport-failure path: a socket error or timeout (IoError,
+      // which includes a torn frame's TruncatedError) or an envelope that
+      // failed its CRC/structure checks (FormatError). The server's retained
+      // copy is intact, so reconnect and let the ack protocol redeliver it.
+      // Anything else (ProtocolError, ConfigError) is not cured by a
+      // reconnect.
+      const bool corrupt = classify(e) == ErrorClass::kCorrupt;
+      if ((!corrupt && dynamic_cast<const IoError*>(&e) == nullptr) ||
+          last_attempt) {
+        throw;
+      }
+      log_warn(fmt("wire: {} ({}); reconnecting",
+                   corrupt ? "corrupt frame" : "transport failure", e.what()));
       conn_.close();
       attached_ = false;
       stats_.reconnects += 1;
+      if (corrupt) stats_.corrupt_frames += 1;
       backoff(attempt);
-    } catch (const TruncatedError& e) {
-      if (attempt + 1 >= config_.max_reconnect_attempts) throw;
-      log_warn(fmt("wire: torn frame ({}); reconnecting", e.what()));
-      conn_.close();
-      attached_ = false;
-      stats_.reconnects += 1;
-      stats_.corrupt_frames += 1;
-      backoff(attempt);
-    } catch (const FormatError& e) {
-      // A frame that failed its CRC or structure checks is wire damage, not
-      // data damage — the server's retained copy is intact, so reconnect
-      // and let the ack protocol redeliver it. (Server-reported kCorrupt
-      // errors rethrow above and are NOT retried.)
-      if (attempt + 1 >= config_.max_reconnect_attempts) throw;
-      log_warn(
-          fmt("wire: corrupt frame ({}); reconnecting", e.what()));
-      conn_.close();
-      attached_ = false;
-      stats_.reconnects += 1;
-      stats_.corrupt_frames += 1;
-      backoff(attempt);
-    } catch (const IoError& e) {
-      if (attempt + 1 >= config_.max_reconnect_attempts) throw;
-      log_warn(
-          fmt("wire: transport error ({}); reconnecting", e.what()));
-      conn_.close();
-      attached_ = false;
-      stats_.reconnects += 1;
-      backoff(attempt);
+      continue;
     }
+    if (reply->type != FrameType::kError) return *reply;
+    // A server-reported error arrived intact over a healthy connection: it
+    // keeps its type and never counts as a transport failure.
+    const ErrorPayload error = ErrorPayload::decode(reply->payload);
+    if (static_cast<ErrorClass>(error.error_class) != ErrorClass::kTransient) {
+      throw_error_payload(error);
+    }
+    // Server-side pressure (admission shed, reattach contention): back off
+    // and re-ask.
+    stats_.retries += 1;
+    if (last_attempt) throw_error_payload(error);
+    backoff(attempt);
   }
 }
 
-void WireClient::attach() { ensure_attached(); }
-
-Frame WireClient::make_next(std::uint64_t ack) const {
-  Frame frame;
-  frame.type = FrameType::kNext;
-  if (config_.trace_propagate) {
-    frame.flags = kFlagTraceContext;
-    ByteWriter w;
-    // Span id ack+1: the id of the client batch span this request belongs
-    // to (0 is reserved for "no context").
-    encode_trace_context(w, TraceContext{trace_id_, ack + 1});
-    w.put<std::uint64_t>(ack);
-    frame.payload = std::move(w).take();
-  } else {
-    NextPayload next;
-    next.ack = ack;
-    frame.payload = next.encode();
+void WireClient::attach() {
+  if (const std::optional<FrameView> refusal = ensure_attached()) {
+    throw_error_payload(ErrorPayload::decode(refusal->payload));
   }
-  return frame;
+}
+
+NextPayload WireClient::make_next(std::uint64_t ack) const {
+  NextPayload next;
+  next.ack = ack;
+  // Span id ack+1: the id of the client batch span this request belongs to
+  // (0 is reserved for "no context").
+  if (config_.trace_propagate) next.trace = TraceContext{trace_id_, ack + 1};
+  return next;
 }
 
 bool WireClient::next(pipeline::Batch& batch) {
@@ -265,13 +228,13 @@ bool WireClient::next(pipeline::Batch& batch) {
   const std::uint64_t span_id = stats_.delivered + 1;
   // Per-batch decomposition, all four stamps from the tracer clock so the
   // spans and the histograms describe the exact same intervals:
-  //   issue -> encoded     request serialization
+  //   issue -> encoded     request build (serialized as it is sent)
   //   encoded -> replied   kernel/socket + server queue/produce/encode/send
   //   replied -> decoded   response deserialization
   const std::uint64_t t_issue = flow_on ? tracer_->now_ns() : 0;
-  const Frame request = make_next(stats_.delivered);
+  const NextPayload request = make_next(stats_.delivered);
   const std::uint64_t t_encoded = flow_on ? tracer_->now_ns() : 0;
-  const FrameView reply = roundtrip(request);
+  const FrameView reply = roundtrip(FrameType::kNext, request.flags(), request);
   const std::uint64_t t_replied = flow_on ? tracer_->now_ns() : 0;
   if (reply.type == FrameType::kEnd) {
     ended_ = true;
@@ -310,13 +273,14 @@ bool WireClient::next(pipeline::Batch& batch) {
     h_decode_->record(static_cast<double>(t_decoded - t_replied) / 1e9);
   }
   stats_.delivered += 1;
-  if (config_.pipeline_requests && attached_ && conn_.valid()) {
+  if (attached_ && conn_.valid()) {
     // Ask for the following batch before the caller consumes this one: the
     // server overlaps produce + encode + send with the caller's work. A
     // send failure here is not an error yet — the connection is closed and
     // the next call's reconnect path re-sends the same ack.
     try {
-      send_frame(conn_, make_next(stats_.delivered));
+      const NextPayload ahead = make_next(stats_.delivered);
+      send_frame(conn_, FrameType::kNext, ahead.flags(), ahead);
       next_in_flight_ = true;
     } catch (const IoError&) {
       conn_.close();
@@ -328,31 +292,28 @@ bool WireClient::next(pipeline::Batch& batch) {
 }
 
 void WireClient::beat() {
-  const FrameView reply = roundtrip(Frame{FrameType::kBeat, 0, {}});
+  const FrameView reply = roundtrip(FrameType::kBeat, 0, EmptyPayload{});
   if (reply.type != FrameType::kBeat) {
     throw ProtocolError(
         fmt("wire: expected BEAT, got {}", frame_type_name(reply.type)));
   }
 }
 
-StatsPayload WireClient::pull_server_stats() {
-  const FrameView reply = roundtrip(Frame{FrameType::kStats, 0, {}});
+obs::FleetLine WireClient::pull_server_stats() {
+  const FrameView reply = roundtrip(FrameType::kStats, 0, EmptyPayload{});
   if (reply.type != FrameType::kStats) {
     throw ProtocolError(
         fmt("wire: expected STATS, got {}", frame_type_name(reply.type)));
   }
-  StatsPayload payload = StatsPayload::decode(reply.payload);
-  obs::snapshot_accumulate(server_totals_, payload.delta);
-  server_scope_ = payload.scope;
+  server_stats_ = StatsPayload::decode(reply.payload).line;
   stats_pulls_ += 1;
-  return payload;
+  return server_stats_;
 }
 
 TracePayload WireClient::pull_server_trace(std::uint32_t max_spans) {
   TraceRequestPayload request;
   request.max_spans = max_spans;
-  const FrameView reply =
-      roundtrip(Frame{FrameType::kTrace, 0, request.encode()});
+  const FrameView reply = roundtrip(FrameType::kTrace, 0, request);
   if (reply.type != FrameType::kTrace) {
     throw ProtocolError(
         fmt("wire: expected TRACE, got {}", frame_type_name(reply.type)));
@@ -361,7 +322,7 @@ TracePayload WireClient::pull_server_trace(std::uint32_t max_spans) {
 }
 
 DetachedPayload WireClient::detach() {
-  const FrameView reply = roundtrip(Frame{FrameType::kDetach, 0, {}});
+  const FrameView reply = roundtrip(FrameType::kDetach, 0, EmptyPayload{});
   if (reply.type != FrameType::kDetached) {
     throw ProtocolError(
         fmt("wire: expected DETACHED, got {}", frame_type_name(reply.type)));

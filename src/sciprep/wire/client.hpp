@@ -22,13 +22,21 @@
 //     samples are recorded into a GlobalStreamDigest so the continuation
 //     can be byte-compared against a fault-free run.
 //
-// Server-reported errors keep their type across the wire: a transient
-// rejection (admission shed) is retried under the same backoff, while
-// config/corrupt/fatal errors rethrow as ConfigError/FormatError/Error. A
-// server speaking a different protocol version raises ProtocolError.
+//   * Pipelined requests. As soon as a batch is handed to the caller the
+//     next NEXT goes out, so the server produces and ships batch n+1 while
+//     the caller consumes batch n. The ack window already makes an
+//     unconsumed in-flight reply redeliverable, so reconnects and takeovers
+//     behave exactly as in stop-and-wait mode.
+//
+// Server-reported errors are not transport failures and never reconnect:
+// a transient rejection (admission shed) is retried under the same backoff
+// on the live connection, while config/corrupt/fatal errors rethrow as
+// ConfigError/FormatError/Error. A server speaking a different protocol
+// version raises ProtocolError.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "sciprep/flow/clock.hpp"
@@ -55,13 +63,6 @@ struct WireClientConfig {
   int max_reconnect_attempts = 8;
   double backoff_initial_seconds = 0.05;
   double backoff_max_seconds = 2.0;
-  /// Send the following NEXT as soon as a batch is handed to the caller, so
-  /// the server produces and ships batch n+1 while the caller consumes
-  /// batch n. Protocol-transparent: the ack window already makes an
-  /// unconsumed in-flight reply redeliverable, so reconnects and takeovers
-  /// behave exactly as in stop-and-wait mode — this only overlaps the wire
-  /// with the work.
-  bool pipeline_requests = true;
   /// Record every delivered sample into digest(). The CRC pass over each
   /// tensor is a real fraction of small-sample delivery cost; turn it off
   /// when the run does not need the bit-identity proof (mirrors
@@ -115,11 +116,10 @@ class WireClient {
   /// Cleanly close the tenant's session; returns the server-side stats.
   DetachedPayload detach();
 
-  /// Pull the server's per-tenant MetricsSnapshot delta since the previous
-  /// pull on this session (full snapshot on the first). The delta is also
-  /// folded into server_totals(), so after the last pull the accumulated
-  /// view equals the server-side tenant registry.
-  StatsPayload pull_server_stats();
+  /// Pull the server's per-tenant fleet.v1 line: the tenant registry's
+  /// totals plus the delta since the previous pull on this session
+  /// (everything on the first). Its totals become server_totals().
+  obs::FleetLine pull_server_stats();
 
   /// Pull the server's span ring tail (0 = whole ring) plus its pid and
   /// process name, for a merged cross-process trace.
@@ -150,32 +150,41 @@ class WireClient {
   [[nodiscard]] const flow::ClockOffset& clock_offset() const noexcept {
     return clock_offset_;
   }
-  /// Server snapshot deltas accumulated across pull_server_stats() calls.
+  /// The server tenant registry's totals as of the last pull_server_stats().
   [[nodiscard]] const obs::MetricsSnapshot& server_totals() const noexcept {
-    return server_totals_;
+    return server_stats_.totals;
   }
   /// The scope label ("tenant/<name>") the server reports in STATS replies,
   /// empty before the first pull.
   [[nodiscard]] const std::string& server_scope() const noexcept {
-    return server_scope_;
+    return server_stats_.scope;
   }
   [[nodiscard]] std::uint64_t stats_pulls() const noexcept {
     return stats_pulls_;
   }
 
  private:
-  /// Connect + handshake if not currently connected; throws on failure
-  /// (the caller's retry loop owns backoff).
-  void ensure_attached();
+  /// Connect + handshake if not currently connected. Returns the server's
+  /// ERROR reply when it refuses HELLO or ATTACH (the caller decides what a
+  /// refusal means), nullopt once attached; transport failures throw.
+  std::optional<FrameView> ensure_attached();
+  /// The handshake's request/reply step: send, receive, and require `want`
+  /// or an ERROR reply.
+  template <typename Payload>
+  FrameView handshake(FrameType type, const Payload& request, FrameType want);
   void backoff(int attempt);
-  /// Build a NEXT frame for `ack`, prefixing the trace-context extension
-  /// (span id ack+1) when trace propagation is on.
-  [[nodiscard]] Frame make_next(std::uint64_t ack) const;
-  /// Send `request`, receive one reply, reconnecting/backing off on any
-  /// transport failure and retrying on server-side transient errors. The
+  /// NEXT for `ack`, carrying the trace-context extension (span id ack+1)
+  /// when trace propagation is on.
+  [[nodiscard]] NextPayload make_next(std::uint64_t ack) const;
+  /// Send `request`, receive one reply. A transport failure — a socket
+  /// error or timeout, a torn frame, an envelope failing its checks —
+  /// reconnects with backoff; a server-reported transient error backs off
+  /// and re-asks; any other server-reported error is thrown typed. The
   /// returned view is never kError; its payload points into reply_buf_ and
   /// is valid until the next roundtrip.
-  FrameView roundtrip(const Frame& request);
+  template <typename Payload>
+  FrameView roundtrip(FrameType type, std::uint8_t flags,
+                      const Payload& request);
 
   WireClientConfig config_;
   Socket conn_;
@@ -205,8 +214,7 @@ class WireClient {
   std::uint64_t trace_id_ = 0;
   flow::ClockSyncEstimator clock_estimator_;
   flow::ClockOffset clock_offset_;
-  obs::MetricsSnapshot server_totals_;
-  std::string server_scope_;
+  obs::FleetLine server_stats_;  // the last STATS reply
   std::uint64_t stats_pulls_ = 0;
 };
 

@@ -1,7 +1,7 @@
 // Wire frame codec for cross-process serving (sciprep::wire).
 //
 // Everything crossing the AF_UNIX socket between a WireServer and its
-// clients is one `Frame` in a fixed envelope:
+// clients is one frame in a fixed envelope:
 //
 //   offset  size  field
 //   ------  ----  -----------------------------------------------
@@ -15,9 +15,13 @@
 //
 // The CRC covers every field except the magic, so a single flipped bit
 // anywhere in a frame is detected: in the magic it fails the magic check,
-// anywhere else it fails the CRC. Parsing is hostile-input-safe by
-// construction — decode_frame() classifies every malformed input into the
-// sciprep error taxonomy and never reads out of bounds:
+// anywhere else it fails the CRC. Frames are built in place — begin_frame()
+// stubs the header, a payload's encode_into() writes straight after it,
+// finish_frame() patches the header and appends the CRC — and parsed in
+// place: decode_frame_view() validates the envelope and returns a view of
+// the payload inside the caller's buffer. Parsing is hostile-input-safe by
+// construction — it classifies every malformed input into the sciprep
+// error taxonomy and never reads out of bounds:
 //
 //   * input shorter than its own framing      -> TruncatedError
 //   * bad magic, oversized declared length,
@@ -25,13 +29,15 @@
 //   * valid envelope from a different-version
 //     or unknown-type speaker                 -> ProtocolError
 //
-// Payload schemas are little-endian field lists over ByteWriter/ByteReader;
-// each payload struct's decode() re-validates its own bounds, so a frame
-// whose envelope checks out but whose body lies about its array lengths
-// still fails typed, not undefined.
+// Payload schemas are little-endian field lists over ByteWriter/ByteReader
+// (STATS carries one fleet.v1 text line instead); each payload struct's
+// decode() re-validates its own bounds, so a frame whose envelope checks
+// out but whose body lies about its array lengths still fails typed, not
+// undefined.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,7 +59,8 @@ class ProtocolError : public Error {
 };
 
 inline constexpr std::uint32_t kMagic = 0x52495753u;  // "SWIR"
-inline constexpr std::uint16_t kProtocolVersion = 1;
+/// Version 2: STATS replies carry a fleet.v1 line.
+inline constexpr std::uint16_t kProtocolVersion = 2;
 /// Version of the batch payload schema, carried in the HELLO/WELCOME
 /// handshake separately from the envelope version: the envelope can stay
 /// stable while the tensor encoding evolves.
@@ -86,7 +93,7 @@ enum class FrameType : std::uint8_t {
   kDetached,     // server -> client: final per-tenant accounting
   kError,        // server -> client: typed failure (ErrorClass + message)
   kClockSync,    // both ways: steady-clock exchange for flow clock alignment
-  kStats,        // client -> server: pull; server -> client: snapshot delta
+  kStats,        // client -> server: pull; server -> client: fleet.v1 line
   kTrace,        // client -> server: pull; server -> client: span ring tail
 };
 
@@ -97,51 +104,46 @@ inline constexpr std::uint8_t kMaxFrameType =
 
 const char* frame_type_name(FrameType type) noexcept;
 
-struct Frame {
-  FrameType type = FrameType::kBeat;
-  std::uint8_t flags = 0;
-  Bytes payload;
-};
-
-/// Serialize a frame into its wire envelope. Throws ConfigError if the
-/// payload exceeds kMaxPayload.
-[[nodiscard]] Bytes encode_frame(const Frame& frame);
-
-/// Single-buffer encode for the batch hot path: begin_frame() hands out a
-/// writer with the 12-byte header stubbed in, the payload is serialized
-/// straight after it, and finish_frame() patches type/flags/length and
-/// appends the CRC. Identical bytes to encode_frame(), minus the
-/// payload-to-envelope copy a separate payload buffer would cost. Passing a
+/// Start a frame: a writer with the 12-byte header stubbed in, into which a
+/// payload's encode_into() serializes straight after the header;
+/// finish_frame() then patches type/flags/length and appends the CRC. The
+/// payload is written once, directly into the wire envelope. Passing a
 /// retired frame's Bytes as `reuse` recycles its storage (the contents are
 /// discarded), so steady-state re-encoding never grows a buffer from zero.
+/// finish_frame() throws ConfigError if the payload exceeds kMaxPayload.
 [[nodiscard]] ByteWriter begin_frame(Bytes reuse = {});
 [[nodiscard]] Bytes finish_frame(ByteWriter&& w, FrameType type,
                                  std::uint8_t flags);
 
-/// Parse exactly one frame from `data` (the entire span must be the frame).
-/// Throws TruncatedError / FormatError / ProtocolError as documented above.
-[[nodiscard]] Frame decode_frame(ByteSpan data);
-
 /// A validated envelope whose payload is still a view into the caller's
-/// buffer — decode_frame() without the payload copy, for the batch hot
-/// path. The view lives only as long as the bytes passed in.
+/// buffer. The view lives only as long as the bytes passed in.
 struct FrameView {
   FrameType type = FrameType::kBeat;
   std::uint8_t flags = 0;
   ByteSpan payload;
 };
 
-/// Same checks and error taxonomy as decode_frame(); no payload copy.
+/// Parse exactly one frame from `data` (the entire span must be the frame),
+/// without copying the payload. Throws TruncatedError / FormatError /
+/// ProtocolError as documented above.
 [[nodiscard]] FrameView decode_frame_view(ByteSpan data);
 
 /// Validate the 12-byte header of an incoming frame and return its declared
 /// payload length, before the payload has been read — a stream reader calls
 /// this to size its read without trusting the peer. Checks the magic and the
-/// length cap only; everything else waits for decode_frame() once the full
-/// envelope is in memory. Throws TruncatedError / FormatError.
+/// length cap only; everything else waits for decode_frame_view() once the
+/// full envelope is in memory. Throws TruncatedError / FormatError.
 [[nodiscard]] std::uint32_t decode_header(ByteSpan header);
 
 // -- Payload schemas -------------------------------------------------------
+//
+// Every payload has one writer, encode_into(), which serializes into a
+// begin_frame() writer, and one parser, decode().
+
+/// BEAT, END, DETACH and the STATS request carry no payload.
+struct EmptyPayload {
+  void encode_into(ByteWriter& /*w*/) const noexcept {}
+};
 
 struct HelloPayload {
   std::uint32_t schema_version = kSchemaVersion;
@@ -152,7 +154,7 @@ struct HelloPayload {
   std::uint64_t fingerprint = 0;
   std::string client;  // diagnostic label for server-side incidents
 
-  [[nodiscard]] Bytes encode() const;
+  void encode_into(ByteWriter& w) const;
   [[nodiscard]] static HelloPayload decode(ByteSpan data);
 };
 
@@ -160,14 +162,14 @@ struct WelcomePayload {
   std::uint32_t schema_version = kSchemaVersion;
   std::uint64_t fingerprint = 0;
 
-  [[nodiscard]] Bytes encode() const;
+  void encode_into(ByteWriter& w) const;
   [[nodiscard]] static WelcomePayload decode(ByteSpan data);
 };
 
 struct AttachPayload {
   std::string tenant;
 
-  [[nodiscard]] Bytes encode() const;
+  void encode_into(ByteWriter& w) const;
   [[nodiscard]] static AttachPayload decode(ByteSpan data);
 };
 
@@ -181,55 +183,9 @@ struct AttachedPayload {
   /// its local state (a restarted process) must set its ack counter to.
   std::uint64_t resume_seq = 0;
 
-  [[nodiscard]] Bytes encode() const;
+  void encode_into(ByteWriter& w) const;
   [[nodiscard]] static AttachedPayload decode(ByteSpan data);
 };
-
-struct NextPayload {
-  /// Count of batches the client has received so far == the sequence number
-  /// it expects next. The server produces fresh when ack matches its own
-  /// counter and re-sends its retained frame when the client is one behind
-  /// (the in-flight reply was lost); anything else is a protocol error.
-  std::uint64_t ack = 0;
-
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static NextPayload decode(ByteSpan data);
-};
-
-struct BatchPayload {
-  std::uint64_t seq = 0;
-  pipeline::Batch batch;
-
-  [[nodiscard]] Bytes encode() const;
-  /// Serialize in place — into a begin_frame() writer on the send path, so
-  /// the tensors are copied once, directly into the wire envelope.
-  void encode_into(ByteWriter& w) const;
-  [[nodiscard]] static BatchPayload decode(ByteSpan data);
-};
-
-struct DetachedPayload {
-  std::uint64_t batches = 0;   // batches produced for this tenant
-  std::uint64_t samples = 0;   // samples across those batches
-  std::uint64_t attaches = 0;  // ATTACHes accepted (1 + reconnects)
-  std::uint64_t sweeps = 0;    // lease sweeps that suspended this tenant
-  /// CRC folded over the tenant's server-side stream digest entries, 0 when
-  /// verify_stream is off. A client that kept its own digest cross-checks
-  /// exact-once delivery against this at detach time.
-  std::uint32_t digest_crc = 0;
-
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static DetachedPayload decode(ByteSpan data);
-};
-
-struct ErrorPayload {
-  std::uint8_t error_class = 0;  // sciprep::ErrorClass as int
-  std::string message;
-
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static ErrorPayload decode(ByteSpan data);
-};
-
-// -- Flow extensions (sciprep::flow over the wire) -------------------------
 
 /// Trace context prefixed to a NEXT payload when kFlagTraceContext is set:
 /// the client's trace id plus the span id of the batch span this request
@@ -251,6 +207,56 @@ void encode_trace_context(ByteWriter& w, const TraceContext& ctx);
 /// truncated, ProtocolError when its version is unknown.
 [[nodiscard]] TraceContext decode_trace_context(ByteSpan& payload);
 
+struct NextPayload {
+  /// Count of batches the client has received so far == the sequence number
+  /// it expects next. The server produces fresh when ack matches its own
+  /// counter and re-sends its retained frame when the client is one behind
+  /// (the in-flight reply was lost); anything else is a protocol error.
+  std::uint64_t ack = 0;
+  /// Set on a traced request: written as the TraceContext extension ahead
+  /// of the ack, and the frame carries kFlagTraceContext (flags()).
+  std::optional<TraceContext> trace;
+
+  [[nodiscard]] std::uint8_t flags() const noexcept {
+    return trace ? kFlagTraceContext : std::uint8_t{0};
+  }
+  void encode_into(ByteWriter& w) const;
+  /// `flags` are the frame's: kFlagTraceContext means the extension leads.
+  [[nodiscard]] static NextPayload decode(ByteSpan data, std::uint8_t flags);
+};
+
+struct BatchPayload {
+  std::uint64_t seq = 0;
+  pipeline::Batch batch;
+
+  void encode_into(ByteWriter& w) const;
+  [[nodiscard]] static BatchPayload decode(ByteSpan data);
+};
+
+struct DetachedPayload {
+  std::uint64_t batches = 0;   // batches produced for this tenant
+  std::uint64_t samples = 0;   // samples across those batches
+  std::uint64_t attaches = 0;  // ATTACHes accepted (1 + reconnects)
+  std::uint64_t sweeps = 0;    // lease sweeps that suspended this tenant
+  /// CRC folded over the tenant's server-side stream digest entries, 0 when
+  /// verify_stream is off. A client that kept its own digest cross-checks
+  /// exact-once delivery against this at detach time.
+  std::uint32_t digest_crc = 0;
+
+  void encode_into(ByteWriter& w) const;
+  [[nodiscard]] static DetachedPayload decode(ByteSpan data);
+};
+
+struct ErrorPayload {
+  std::uint8_t error_class = 0;  // sciprep::ErrorClass as int
+  std::string message;
+
+  void encode_into(ByteWriter& w) const;
+  [[nodiscard]] static ErrorPayload decode(ByteSpan data);
+};
+
+// -- Flow extensions (sciprep::flow over the wire) -------------------------
+
 /// CLOCK_SYNC, both directions: the client stamps t_client_ns from its
 /// tracer clock; the server echoes it and fills t_server_ns with its own.
 /// The client's flow::ClockSyncEstimator turns a handful of these into a
@@ -259,20 +265,22 @@ struct ClockSyncPayload {
   std::uint64_t t_client_ns = 0;
   std::uint64_t t_server_ns = 0;  // 0 in the request
 
-  [[nodiscard]] Bytes encode() const;
+  void encode_into(ByteWriter& w) const;
   [[nodiscard]] static ClockSyncPayload decode(ByteSpan data);
 };
 
-/// STATS request (client -> server) is an empty payload; the reply carries
-/// the tenant's MetricsSnapshot *delta* since the previous STATS on this
-/// session (full snapshot on the first pull) — the federation unit a fleet
-/// view accumulates back into exact per-tenant totals.
+/// STATS reply: one fleet.v1 line (obs::fleet_line) for the attached
+/// tenant — scope "tenant/<name>", t in seconds on the server's tracer
+/// clock, the tenant registry's cumulative totals, and the delta since the
+/// previous STATS on this session (everything on the first pull). The
+/// request is an EmptyPayload. This is the series format the exporter, the
+/// trainer's --fleet-out and fleetview already speak; each reply is a
+/// one-line series (seq 0), which the puller renumbers into its own.
 struct StatsPayload {
-  std::string scope;  // "tenant/<name>", matching the server's incident scope
-  std::uint64_t t_server_ns = 0;
-  obs::MetricsSnapshot delta;
+  obs::FleetLine line;
 
-  [[nodiscard]] Bytes encode() const;
+  void encode_into(ByteWriter& w) const;
+  /// Throws FormatError unless `data` is exactly one valid fleet.v1 line.
   [[nodiscard]] static StatsPayload decode(ByteSpan data);
 };
 
@@ -281,7 +289,7 @@ struct StatsPayload {
 struct TraceRequestPayload {
   std::uint32_t max_spans = 0;
 
-  [[nodiscard]] Bytes encode() const;
+  void encode_into(ByteWriter& w) const;
   [[nodiscard]] static TraceRequestPayload decode(ByteSpan data);
 };
 
@@ -294,7 +302,7 @@ struct TracePayload {
   std::uint64_t spans_dropped = 0;  // server ring wraps (trace incomplete)
   std::vector<obs::TraceSpan> spans;
 
-  [[nodiscard]] Bytes encode() const;
+  void encode_into(ByteWriter& w) const;
   [[nodiscard]] static TracePayload decode(ByteSpan data);
 };
 

@@ -132,14 +132,12 @@ void ignore_sigpipe() noexcept {
   std::signal(SIGPIPE, SIG_IGN);
 }
 
-void send_frame_bytes(const Socket& socket, ByteSpan bytes) {
-  sysio::write_full(socket.fd(), bytes.data(), bytes.size());
-}
-
-bool recv_frame_envelope(const Socket& socket, Bytes& buf, bool eof_ok) {
-  buf.resize(kHeaderSize);
-  const std::size_t got = sysio::read_full(socket.fd(), buf.data(), buf.size());
-  if (got == 0 && eof_ok) return false;
+std::optional<FrameView> recv_frame(const Socket& socket, Bytes& buf,
+                                    bool eof_ok) {
+  if (buf.size() < kHeaderSize) buf.resize(kHeaderSize);
+  const std::size_t got =
+      sysio::read_full(socket.fd(), buf.data(), kHeaderSize);
+  if (got == 0 && eof_ok) return std::nullopt;
   if (got < kHeaderSize) {
     throw TruncatedError(
         fmt("wire: connection closed inside a frame header ({} of {} bytes)",
@@ -149,25 +147,19 @@ bool recv_frame_envelope(const Socket& socket, Bytes& buf, bool eof_ok) {
   // The declared length is bounds-checked before a single payload byte is
   // read or a buffer sized from it — a hostile header cannot drive an
   // unbounded allocation.
-  const std::uint32_t length = decode_header(buf);
-  const std::size_t rest = length + kTrailerSize;
-  buf.resize(kHeaderSize + rest);
+  const std::uint32_t length = decode_header(ByteSpan(buf).first(kHeaderSize));
+  const std::size_t total = kHeaderSize + length + kTrailerSize;
+  if (buf.size() < total) buf.resize(total);
+  const std::size_t rest = total - kHeaderSize;
   const std::size_t more =
       sysio::read_full(socket.fd(), buf.data() + kHeaderSize, rest);
   if (more < rest) {
     throw TruncatedError(
         fmt("wire: connection closed inside a frame body ({} of {} bytes)",
-            kHeaderSize + more, buf.size()),
+            kHeaderSize + more, total),
         kHeaderSize + more);
   }
-  return true;
-}
-
-bool recv_frame(const Socket& socket, Frame& frame, bool eof_ok) {
-  Bytes buf;
-  if (!recv_frame_envelope(socket, buf, eof_ok)) return false;
-  frame = decode_frame(buf);
-  return true;
+  return decode_frame_view(ByteSpan(buf).first(total));
 }
 
 }  // namespace sciprep::wire

@@ -2,16 +2,24 @@
 //
 // Thin RAII + errno-mapping layer over the BSD socket calls; all byte
 // movement goes through sysio::read_full/write_full, so the wire transport
-// inherits the one audited EINTR/partial-I/O loop. Frame-level send/recv
-// live here too: recv_frame() reads the fixed header, validates it before
-// trusting the declared length, reads the remainder, and hands the whole
-// envelope to decode_frame() — every malformed or torn input surfaces as a
-// typed error, never as UB or an unbounded allocation.
+// inherits the one audited EINTR/partial-I/O loop. There is one way to send
+// a frame and one way to receive one:
+//
+//   * send_frame() serializes a payload's encode_into() straight into a
+//     begin_frame()/finish_frame() envelope and writes it.
+//   * recv_frame() reads the fixed header into a caller-owned, grow-only
+//     buffer, validates it before trusting the declared length, reads the
+//     remainder, and returns decode_frame_view() over the envelope — the
+//     payload is parsed in place, and every malformed or torn input
+//     surfaces as a typed error, never as UB or an unbounded allocation.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "sciprep/common/buffer.hpp"
+#include "sciprep/common/sysio.hpp"
 #include "sciprep/wire/frame.hpp"
 
 namespace sciprep::wire {
@@ -66,24 +74,25 @@ void ignore_sigpipe() noexcept;
 /// kernel clamps to net.core.{w,r}mem_max — best effort, never an error.
 void set_socket_buffers(const Socket& socket, int bytes) noexcept;
 
-/// Send one encoded frame. `bytes` is the output of encode_frame() (or a
-/// deliberately mutated copy, for fault drills).
-void send_frame_bytes(const Socket& socket, ByteSpan bytes);
-inline void send_frame(const Socket& socket, const Frame& frame) {
-  send_frame_bytes(socket, encode_frame(frame));
+/// Send one frame: `payload` (any payload struct, or EmptyPayload) is
+/// serialized by its encode_into() directly into the envelope.
+template <typename Payload>
+void send_frame(const Socket& socket, FrameType type, std::uint8_t flags,
+                const Payload& payload) {
+  ByteWriter w = begin_frame();
+  payload.encode_into(w);
+  const Bytes frame = finish_frame(std::move(w), type, flags);
+  sysio::write_full(socket.fd(), frame.data(), frame.size());
 }
 
-/// Receive one frame. `eof_ok` selects what a clean close before the first
-/// header byte means: true returns an empty optional-style sentinel via the
-/// bool, false throws TruncatedError. A close *inside* a frame always
-/// throws TruncatedError.
-[[nodiscard]] bool recv_frame(const Socket& socket, Frame& frame, bool eof_ok);
-
-/// Receive one frame's complete raw envelope into `buf` (header validated
-/// to size the body read; everything else still unchecked). Pair with
-/// decode_frame_view() to parse a large payload without copying it out of
-/// the receive buffer. Same eof_ok contract as recv_frame().
-[[nodiscard]] bool recv_frame_envelope(const Socket& socket, Bytes& buf,
-                                       bool eof_ok);
+/// Receive one frame into `buf` and return a view of it; the payload points
+/// into `buf` and is valid until the next receive into it. `buf` only ever
+/// grows, so a connection that reuses one buffer stops allocating (and
+/// zero-filling) once it has seen its largest frame. `eof_ok` selects what
+/// a clean close before the first header byte means: true returns nullopt,
+/// false throws TruncatedError. A close *inside* a frame always throws
+/// TruncatedError.
+[[nodiscard]] std::optional<FrameView> recv_frame(const Socket& socket,
+                                                  Bytes& buf, bool eof_ok);
 
 }  // namespace sciprep::wire

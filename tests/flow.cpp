@@ -1,5 +1,5 @@
 // Unit tests for sciprep::flow — clock-offset estimation, the snapshot
-// delta codec, fleet federation, multi-process trace splicing, and the
+// delta algebra, fleet federation, multi-process trace splicing, and the
 // end-to-end flow validator.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "sciprep/flow/clock.hpp"
 #include "sciprep/flow/fleet.hpp"
 #include "sciprep/flow/merge.hpp"
-#include "sciprep/flow/snapshot.hpp"
 #include "sciprep/obs/metrics.hpp"
 #include "sciprep/obs/trace.hpp"
 
@@ -136,7 +135,7 @@ TEST(FlowClock, RemapSaturatesAtZeroAndPreservesMonotonicity) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot codec + delta algebra
+// Snapshot delta algebra
 
 obs::MetricsSnapshot sample_snapshot() {
   obs::MetricsSnapshot s;
@@ -146,19 +145,6 @@ obs::MetricsSnapshot sample_snapshot() {
   s.histograms["flow.client.wait_seconds"] = {64, 0.125};
   s.histograms["stage.decode_seconds"] = {64, 1.5};
   return s;
-}
-
-TEST(FlowSnapshot, EncodeDecodeRoundtripsExactly) {
-  const obs::MetricsSnapshot s = sample_snapshot();
-  const Bytes wire_bytes = flow::encode_snapshot(s);
-  const obs::MetricsSnapshot back = flow::decode_snapshot(wire_bytes);
-  EXPECT_EQ(back.counters, s.counters);
-  ASSERT_EQ(back.gauges.size(), s.gauges.size());
-  EXPECT_EQ(back.gauges.at("serve.queue_depth").value, 3);
-  EXPECT_EQ(back.gauges.at("serve.queue_depth").high_watermark, 12);
-  ASSERT_EQ(back.histograms.size(), s.histograms.size());
-  EXPECT_EQ(back.histograms.at("stage.decode_seconds").count, 64u);
-  EXPECT_DOUBLE_EQ(back.histograms.at("stage.decode_seconds").sum, 1.5);
 }
 
 TEST(FlowSnapshot, DeltaThenAccumulateReconstructsTheTotals) {
@@ -188,48 +174,6 @@ TEST(FlowSnapshot, DeltaThenAccumulateReconstructsTheTotals) {
             t2.histograms.at("stage.decode_seconds").count);
   EXPECT_NEAR(acc.histograms.at("stage.decode_seconds").sum,
               t2.histograms.at("stage.decode_seconds").sum, 1e-12);
-}
-
-TEST(FlowSnapshot, TruncationAtEveryOffsetIsFormatError) {
-  const Bytes full = flow::encode_snapshot(sample_snapshot());
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    const ByteSpan prefix(full.data(), len);
-    EXPECT_THROW(flow::decode_snapshot(prefix), FormatError) << "len=" << len;
-  }
-}
-
-TEST(FlowSnapshot, BadVersionAndLyingEntryCountFailTyped) {
-  Bytes bytes = flow::encode_snapshot(sample_snapshot());
-  Bytes bad_version = bytes;
-  bad_version[0] = static_cast<std::uint8_t>(flow::kSnapshotCodecVersion + 1);
-  EXPECT_THROW(flow::decode_snapshot(bad_version), FormatError);
-
-  // Entry count of the first section (u32 right after the version byte)
-  // claiming more entries than the payload can hold must fail before any
-  // allocation, not overread.
-  Bytes lying = bytes;
-  lying[1] = 0xFF;
-  lying[2] = 0xFF;
-  lying[3] = 0xFF;
-  lying[4] = 0xFF;
-  EXPECT_THROW(flow::decode_snapshot(lying), FormatError);
-}
-
-TEST(FlowSnapshot, FuzzedBytesFailTypedNeverCrash) {
-  std::uint64_t state = 0xF10F10;
-  int decoded = 0;
-  for (int iter = 0; iter < 2000; ++iter) {
-    Bytes noise(splitmix64(state) % 96);
-    for (auto& b : noise) {
-      b = static_cast<std::uint8_t>(splitmix64(state));
-    }
-    try {
-      (void)flow::decode_snapshot(noise);
-      ++decoded;
-    } catch (const FormatError&) {
-    }
-  }
-  EXPECT_LT(decoded, 2000);
 }
 
 // ---------------------------------------------------------------------------

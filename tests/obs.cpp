@@ -256,6 +256,38 @@ TEST(Metrics, RegistryJsonDumpIsValid) {
   EXPECT_EQ(registry.histogram("t_seconds").count(), 0u);
 }
 
+std::string fleet_text(const std::string& counter_total,
+                       const std::string& gauge_value,
+                       const std::string& hist_count) {
+  return "{\"schema\":\"sciprep.flow.fleet.v1\",\"scope\":\"s\",\"seq\":0,"
+         "\"t\":1,\"counters\":{\"c\":{\"total\":" +
+         counter_total +
+         ",\"delta\":0}},\"gauges\":{\"g\":{\"value\":" + gauge_value +
+         ",\"high_watermark\":3}},\"histograms\":{\"h\":{\"count\":" +
+         hist_count + ",\"sum\":1.5,\"count_delta\":0,\"sum_delta\":0}}}";
+}
+
+TEST(FleetLine, CountsTotalsAndGaugesMustBeInRangeIntegers) {
+  FleetLine line;
+  // 2^64 - 2048 is the largest double below 2^64: still a valid count.
+  ASSERT_TRUE(
+      parse_fleet_line(fleet_text("18446744073709549568", "-1", "5"), line));
+  EXPECT_EQ(line.totals.counters.at("c"), 18446744073709549568ull);
+  EXPECT_EQ(line.totals.gauges.at("g").value, -1);
+  EXPECT_EQ(line.totals.histograms.at("h").count, 5u);
+
+  for (const std::string bad : {"-1", "1e300", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_fleet_line(fleet_text(bad, "0", "5"), line)) << bad;
+    EXPECT_FALSE(parse_fleet_line(fleet_text("1", "0", bad), line)) << bad;
+    // A gauge is signed: -1 is a level, the other two overflow int64.
+    EXPECT_EQ(parse_fleet_line(fleet_text("1", bad, "5"), line), bad == "-1")
+        << bad;
+  }
+  EXPECT_FALSE(parse_fleet_line(fleet_text("1.5", "0", "5"), line));
+  EXPECT_FALSE(parse_fleet_line(fleet_text("1", "-9223372036854777856", "5"),
+                                line));
+}
+
 TEST(Metrics, PoolMetricsObservesRealThreadPool) {
   MetricsRegistry registry;
   PoolMetrics observer(registry, "pool");

@@ -162,25 +162,6 @@ TEST(Pipeline, EpochCoversEverySampleOnce) {
   EXPECT_GT(pipe.stats().bytes_at_rest, 0u);
 }
 
-TEST(Pipeline, DropLastSkipsPartialBatch) {
-  const auto gen = cosmo_gen(8);
-  const codec::CosmoCodec codec;
-  const auto ds =
-      InMemoryDataset::make_cosmo(gen, 10, StorageFormat::kEncoded, &codec);
-  PipelineConfig cfg;
-  cfg.batch_size = 4;
-  cfg.drop_last = true;
-  DataPipeline pipe(ds, codec, cfg);
-  EXPECT_EQ(pipe.batches_per_epoch(), 2u);
-  Batch batch;
-  std::size_t samples = 0;
-  while (pipe.next_batch(batch)) {
-    EXPECT_EQ(batch.size(), 4);
-    samples += 4;
-  }
-  EXPECT_EQ(samples, 8u);
-}
-
 TEST(Pipeline, ShuffleDiffersAcrossEpochsAndIsSeeded) {
   const auto gen = cosmo_gen(8);
   const codec::CosmoCodec codec;
