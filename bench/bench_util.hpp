@@ -12,7 +12,8 @@
 
 #include "sciprep/apps/benchreport.hpp"
 #include "sciprep/common/format.hpp"
-#include "sciprep/obs/obs.hpp"
+#include "sciprep/obs/metrics.hpp"
+#include "sciprep/obs/trace.hpp"
 #include "sciprep/sim/platform.hpp"
 #include "sciprep/sim/stepmodel.hpp"
 

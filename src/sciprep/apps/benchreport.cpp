@@ -14,8 +14,8 @@ namespace sciprep::apps {
 
 namespace {
 
-/// Hostname / core count / page size / build flavor, embedded in every
-/// record so numbers from different hosts are never read as comparable.
+/// Hostname / core count / page size, embedded in every record so numbers
+/// from different hosts are never read as comparable.
 std::string host_info_json() {
   char hostname[256] = "unknown";
   if (gethostname(hostname, sizeof(hostname)) != 0) {
@@ -23,16 +23,9 @@ std::string host_info_json() {
   }
   hostname[sizeof(hostname) - 1] = '\0';
   const long page = sysconf(_SC_PAGESIZE);
-#if defined(SCIPREP_OBS_DISABLED)
-  const bool obs_enabled = false;
-#else
-  const bool obs_enabled = true;
-#endif
-  return fmt("{{\"hostname\":\"{}\",\"cores\":{},\"page_size\":{},"
-             "\"obs_enabled\":{}}}",
+  return fmt("{{\"hostname\":\"{}\",\"cores\":{},\"page_size\":{}}}",
              obs::json_escape(hostname),
-             std::thread::hardware_concurrency(), page > 0 ? page : 0,
-             obs_enabled);
+             std::thread::hardware_concurrency(), page > 0 ? page : 0);
 }
 
 }  // namespace

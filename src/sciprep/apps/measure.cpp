@@ -11,7 +11,7 @@
 #include "sciprep/data/cam_gen.hpp"
 #include "sciprep/data/cosmo_gen.hpp"
 #include "sciprep/io/tfrecord.hpp"
-#include "sciprep/obs/obs.hpp"
+#include "sciprep/obs/trace.hpp"
 
 namespace sciprep::apps {
 
@@ -51,10 +51,12 @@ void calibrate_simgpu_once() {
     const double copy_wall = std::max(1e-6, now_seconds() - t0);
     const double bytes = 2.0 * kValues * sizeof(float);
 
-    std::vector<float> acc(sim::Warp::kLanes, 0.0F);
-    const double t1 = now_seconds();
     constexpr std::size_t kMulWarps = 4096;
     constexpr int kMulReps = 256;
+    // One result slot per warp: warps run on different pool threads, so a
+    // shared accumulator would be a data race.
+    std::vector<float> acc(kMulWarps, 0.0F);
+    const double t1 = now_seconds();
     gpu.launch(kMulWarps, [&](sim::Warp& warp) {
       float local[sim::Warp::kLanes] = {};
       for (int rep = 0; rep < kMulReps; ++rep) {
@@ -62,7 +64,9 @@ void calibrate_simgpu_once() {
           local[lane] = local[lane] * 1.000001F + 0.5F;
         });
       }
-      warp.lanes([&](int lane) { acc[static_cast<std::size_t>(lane)] += local[lane]; });
+      float sum = 0.0F;
+      warp.lanes([&](int lane) { sum += local[lane]; });
+      acc[warp.id()] = sum;
     });
     const double mul_wall = std::max(1e-6, now_seconds() - t1);
     const double flops = 2.0 * kMulWarps * kMulReps * sim::Warp::kLanes;
@@ -149,7 +153,7 @@ const char* loader_config_name(LoaderConfig config) {
 
 MeasuredWorkload measure_cosmo(LoaderConfig config, int dim, int repeat,
                                std::uint64_t seed) {
-  SCIPREP_OBS_SPAN_NAMED(measure_span, "apps.measure_cosmo", "apps");
+  obs::ScopedSpan measure_span("apps.measure_cosmo", "apps");
   if (measure_span.active()) {
     measure_span.set_args_json(fmt(
         "{{\"config\": \"{}\", \"dim\": {}, \"repeat\": {}}}",
@@ -229,7 +233,7 @@ MeasuredWorkload measure_cosmo(LoaderConfig config, int dim, int repeat,
 
 MeasuredWorkload measure_cam(LoaderConfig config, int height, int width,
                              int channels, int repeat, std::uint64_t seed) {
-  SCIPREP_OBS_SPAN_NAMED(measure_span, "apps.measure_cam", "apps");
+  obs::ScopedSpan measure_span("apps.measure_cam", "apps");
   if (measure_span.active()) {
     measure_span.set_args_json(fmt(
         "{{\"config\": \"{}\", \"height\": {}, \"width\": {}, "

@@ -83,8 +83,10 @@
 #include "sciprep/flow/fleet.hpp"
 #include "sciprep/flow/merge.hpp"
 #include "sciprep/insight/insight.hpp"
-#include "sciprep/obs/obs.hpp"
+#include "sciprep/obs/json.hpp"
+#include "sciprep/obs/metrics.hpp"
 #include "sciprep/obs/resource.hpp"
+#include "sciprep/obs/trace.hpp"
 #include "sciprep/pipeline/pipeline.hpp"
 #include "sciprep/serve/service.hpp"
 #include "sciprep/shard/coordinator.hpp"
@@ -769,16 +771,11 @@ int validate_insight(const TrainerArgs& args, std::uint64_t fingerprint) {
       check(retried,
             "JSONL time-series shows a non-zero retry delta under injection");
     }
-#if !defined(SCIPREP_OBS_DISABLED)
     // The ResourceSampler publishes on the exporter cadence, so every run's
     // time-series must carry the proc.* gauges — a missing key means the
     // pre_tick hook fell off the exporter.
     check(saw_rss, "JSONL time-series carries the proc.rss_bytes gauge");
     check(saw_cpu, "JSONL time-series carries the proc.cpu_utime_ms gauge");
-#else
-    (void)saw_rss;
-    (void)saw_cpu;
-#endif
   }
 
   if (!args.flightrec_dir.empty()) {

@@ -13,7 +13,8 @@
 #include "sciprep/common/error.hpp"
 #include "sciprep/compress/deflate.hpp"
 #include "sciprep/guard/cancel.hpp"
-#include "sciprep/obs/obs.hpp"
+#include "sciprep/obs/metrics.hpp"
+#include "sciprep/obs/trace.hpp"
 
 namespace sciprep::codec {
 
@@ -767,8 +768,10 @@ Bytes CamCodec::encode_sample(const io::CamSample& sample) const {
 }
 
 TensorF16 CamCodec::decode_cpu(ByteSpan encoded) const {
-  SCIPREP_OBS_SPAN("codec.cam.decode_cpu", "codec");
-  SCIPREP_OBS_COUNT("codec.cam.decode_bytes_in_total", encoded.size());
+  const obs::ScopedSpan span("codec.cam.decode_cpu", "codec");
+  obs::MetricsRegistry::global()
+      .counter("codec.cam.decode_bytes_in_total")
+      .add(encoded.size());
   ParsedCam p = parse_cam(encoded);
   CamOutput out(p.channels, p.height, p.width, decode_options_.layout,
                 std::move(p.labels));
@@ -778,8 +781,8 @@ TensorF16 CamCodec::decode_cpu(ByteSpan encoded) const {
   LaneGroup group{};
   std::array<std::size_t, kLanes> grouped{};
   std::size_t n = 0;
-  [[maybe_unused]] std::uint64_t lane_lines = 0;
-  [[maybe_unused]] std::uint64_t scalar_lines = 0;
+  std::uint64_t lane_lines = 0;
+  std::uint64_t scalar_lines = 0;
   const auto decode_scalar = [&](std::size_t i) {
     scalar_lines += p.lines[i].mode == kModeDelta;
     decode_line(p.lines[i], out.width, p.stats[i / out.height], p.normalize,
@@ -809,14 +812,20 @@ TensorF16 CamCodec::decode_cpu(ByteSpan encoded) const {
     n = 0;
   }
   for (std::size_t l = 0; l < n; ++l) decode_scalar(grouped[l]);
-  SCIPREP_OBS_COUNT("codec.cam.lane_lines_total", lane_lines);
-  SCIPREP_OBS_COUNT("codec.cam.scalar_lines_total", scalar_lines);
+  obs::MetricsRegistry::global()
+      .counter("codec.cam.lane_lines_total")
+      .add(lane_lines);
+  obs::MetricsRegistry::global()
+      .counter("codec.cam.scalar_lines_total")
+      .add(scalar_lines);
   return std::move(out.tensor);
 }
 
 TensorF16 CamCodec::decode_gpu(ByteSpan encoded, sim::SimGpu& gpu) const {
-  SCIPREP_OBS_SPAN("codec.cam.decode_gpu", "codec");
-  SCIPREP_OBS_COUNT("codec.cam.decode_bytes_in_total", encoded.size());
+  const obs::ScopedSpan span("codec.cam.decode_gpu", "codec");
+  obs::MetricsRegistry::global()
+      .counter("codec.cam.decode_bytes_in_total")
+      .add(encoded.size());
   ParsedCam p = parse_cam(encoded);
   CamOutput out(p.channels, p.height, p.width, decode_options_.layout,
                 std::move(p.labels));
@@ -933,16 +942,22 @@ TensorF16 CamCodec::reference_preprocess_sample(const io::CamSample& sample,
 }
 
 Bytes CamCodec::encode(ByteSpan raw_sample) const {
-  SCIPREP_OBS_SPAN("codec.cam.encode", "codec");
-  SCIPREP_OBS_COUNT("codec.cam.encode_bytes_in_total", raw_sample.size());
+  const obs::ScopedSpan span("codec.cam.encode", "codec");
+  obs::MetricsRegistry::global()
+      .counter("codec.cam.encode_bytes_in_total")
+      .add(raw_sample.size());
   Bytes out = encode_sample(io::CamSample::parse(raw_sample));
-  SCIPREP_OBS_COUNT("codec.cam.encode_bytes_out_total", out.size());
+  obs::MetricsRegistry::global()
+      .counter("codec.cam.encode_bytes_out_total")
+      .add(out.size());
   return out;
 }
 
 TensorF16 CamCodec::reference_preprocess(ByteSpan raw_sample) const {
-  SCIPREP_OBS_SPAN("codec.cam.reference_preprocess", "codec");
-  SCIPREP_OBS_COUNT("codec.cam.reference_bytes_in_total", raw_sample.size());
+  const obs::ScopedSpan span("codec.cam.reference_preprocess", "codec");
+  obs::MetricsRegistry::global()
+      .counter("codec.cam.reference_bytes_in_total")
+      .add(raw_sample.size());
   return reference_preprocess_sample(io::CamSample::parse(raw_sample),
                                      encode_options_.normalize,
                                      decode_options_.layout);

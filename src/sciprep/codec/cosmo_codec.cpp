@@ -8,7 +8,8 @@
 
 #include "sciprep/common/error.hpp"
 #include "sciprep/guard/cancel.hpp"
-#include "sciprep/obs/obs.hpp"
+#include "sciprep/obs/metrics.hpp"
+#include "sciprep/obs/trace.hpp"
 
 namespace sciprep::codec {
 
@@ -390,8 +391,10 @@ TensorF16 cosmo_output(const ParsedCosmo& p) {
 }  // namespace
 
 TensorF16 CosmoCodec::decode_cpu(ByteSpan encoded) const {
-  SCIPREP_OBS_SPAN("codec.cosmo.decode_cpu", "codec");
-  SCIPREP_OBS_COUNT("codec.cosmo.decode_bytes_in_total", encoded.size());
+  const obs::ScopedSpan span("codec.cosmo.decode_cpu", "codec");
+  obs::MetricsRegistry::global()
+      .counter("codec.cosmo.decode_bytes_in_total")
+      .add(encoded.size());
   const ParsedCosmo p = parse_cosmo(encoded);
   TensorF16 out = cosmo_output(p);
   for (const ParsedBlock& b : p.blocks) {
@@ -421,8 +424,10 @@ TensorF16 CosmoCodec::decode_cpu(ByteSpan encoded) const {
 }
 
 TensorF16 CosmoCodec::decode_gpu(ByteSpan encoded, sim::SimGpu& gpu) const {
-  SCIPREP_OBS_SPAN("codec.cosmo.decode_gpu", "codec");
-  SCIPREP_OBS_COUNT("codec.cosmo.decode_bytes_in_total", encoded.size());
+  const obs::ScopedSpan span("codec.cosmo.decode_gpu", "codec");
+  obs::MetricsRegistry::global()
+      .counter("codec.cosmo.decode_bytes_in_total")
+      .add(encoded.size());
   const ParsedCosmo p = parse_cosmo(encoded);
   TensorF16 out = cosmo_output(p);
   for (const ParsedBlock& b : p.blocks) {
@@ -529,16 +534,22 @@ TensorF16 CosmoCodec::reference_preprocess_sample(const io::CosmoSample& sample,
 }
 
 Bytes CosmoCodec::encode(ByteSpan raw_sample) const {
-  SCIPREP_OBS_SPAN("codec.cosmo.encode", "codec");
-  SCIPREP_OBS_COUNT("codec.cosmo.encode_bytes_in_total", raw_sample.size());
+  const obs::ScopedSpan span("codec.cosmo.encode", "codec");
+  obs::MetricsRegistry::global()
+      .counter("codec.cosmo.encode_bytes_in_total")
+      .add(raw_sample.size());
   Bytes out = encode_sample(io::CosmoSample::parse(raw_sample));
-  SCIPREP_OBS_COUNT("codec.cosmo.encode_bytes_out_total", out.size());
+  obs::MetricsRegistry::global()
+      .counter("codec.cosmo.encode_bytes_out_total")
+      .add(out.size());
   return out;
 }
 
 TensorF16 CosmoCodec::reference_preprocess(ByteSpan raw_sample) const {
-  SCIPREP_OBS_SPAN("codec.cosmo.reference_preprocess", "codec");
-  SCIPREP_OBS_COUNT("codec.cosmo.reference_bytes_in_total", raw_sample.size());
+  const obs::ScopedSpan span("codec.cosmo.reference_preprocess", "codec");
+  obs::MetricsRegistry::global()
+      .counter("codec.cosmo.reference_bytes_in_total")
+      .add(raw_sample.size());
   return reference_preprocess_sample(io::CosmoSample::parse(raw_sample),
                                      options_.fuse_log1p);
 }

@@ -1,6 +1,5 @@
 #include "sciprep/common/log.hpp"
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -14,7 +13,6 @@ namespace sciprep {
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
 std::atomic<LogHook> g_hook{nullptr};
-std::array<std::atomic<std::uint64_t>, 4> g_counts{};
 std::mutex g_io_mutex;
 
 constexpr const char* level_name(LogLevel level) {
@@ -51,20 +49,9 @@ void set_log_level(LogLevel level) { g_level.store(level); }
 
 LogLevel log_level() noexcept { return g_level.load(); }
 
-std::uint64_t log_count(LogLevel level) noexcept {
-  return g_counts[static_cast<std::size_t>(level)].load(
-      std::memory_order_relaxed);
-}
-
-void reset_log_counts() noexcept {
-  for (auto& c : g_counts) c.store(0, std::memory_order_relaxed);
-}
-
 void set_log_hook(LogHook hook) noexcept { g_hook.store(hook); }
 
 void log_message(LogLevel level, std::string_view message) {
-  g_counts[static_cast<std::size_t>(level)].fetch_add(
-      1, std::memory_order_relaxed);
   if (const LogHook hook = g_hook.load()) {
     hook(level, message);
   }

@@ -4,12 +4,11 @@
 //
 //   [2026-08-06T12:34:56.789Z sciprep:WARN t3] message
 //
-// Per-level counters are kept for every warn/error that reaches log_message
-// (whether or not the threshold suppresses the output), and an optional hook
-// lets the observability layer mirror them into its metrics registry.
+// An optional hook sees every message that reaches log_message (whether or
+// not the threshold suppresses the output), so the observability layer can
+// count warnings and errors in its metrics registry.
 #pragma once
 
-#include <cstdint>
 #include <string_view>
 
 #include "sciprep/common/format.hpp"
@@ -23,44 +22,18 @@ void set_log_level(LogLevel level);
 LogLevel log_level() noexcept;
 
 /// Emit one line (thread-safe, flushed) if `level` passes the threshold.
-/// Warn/error events are counted even when suppressed by the threshold.
 void log_message(LogLevel level, std::string_view message);
 
-/// Events of `level` seen by log_message since start (or reset).
-std::uint64_t log_count(LogLevel level) noexcept;
-void reset_log_counts() noexcept;
-
-/// Hook invoked (after counting, before threshold filtering) for every
-/// log_message call. Used by sciprep::obs to bump errors_total counters.
-/// Pass nullptr to detach. The hook must be thread-safe.
+/// Hook invoked (before threshold filtering) for every log_message call.
+/// Used by sciprep::obs to bump errors_total counters. Pass nullptr to
+/// detach. The hook must be thread-safe.
 using LogHook = void (*)(LogLevel level, std::string_view message);
 void set_log_hook(LogHook hook) noexcept;
 
 template <class... Args>
-void log_debug(std::string_view format_string, Args&&... args) {
-  if (log_level() <= LogLevel::kDebug) {
-    log_message(LogLevel::kDebug,
-                fmt(format_string, std::forward<Args>(args)...));
-  }
-}
-template <class... Args>
-void log_info(std::string_view format_string, Args&&... args) {
-  if (log_level() <= LogLevel::kInfo) {
-    log_message(LogLevel::kInfo,
-                fmt(format_string, std::forward<Args>(args)...));
-  }
-}
-template <class... Args>
 void log_warn(std::string_view format_string, Args&&... args) {
   if (log_level() <= LogLevel::kWarn) {
     log_message(LogLevel::kWarn,
-                fmt(format_string, std::forward<Args>(args)...));
-  }
-}
-template <class... Args>
-void log_error(std::string_view format_string, Args&&... args) {
-  if (log_level() <= LogLevel::kError) {
-    log_message(LogLevel::kError,
                 fmt(format_string, std::forward<Args>(args)...));
   }
 }

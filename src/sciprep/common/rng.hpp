@@ -69,9 +69,6 @@ class Rng {
   double next_double() noexcept {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
-  float next_float() noexcept {
-    return static_cast<float>(next_u64() >> 40) * 0x1.0p-24F;
-  }
 
   /// Uniform integer in [0, bound) with rejection to remove modulo bias.
   std::uint64_t next_below(std::uint64_t bound) noexcept {

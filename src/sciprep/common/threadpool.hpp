@@ -89,10 +89,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t thread_count() const noexcept {
-    return workers_.size();
-  }
-
   /// Attach an unowned observer (nullptr detaches). The observer must
   /// outlive the pool or be detached before destruction.
   void set_observer(ThreadPoolObserver* observer) noexcept {

@@ -131,7 +131,6 @@ class Sequential final : public Layer {
   Tensor backward(const Tensor& output_grad) override;
   std::vector<Tensor*> params() override;
   std::vector<Tensor*> grads() override;
-  [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;

@@ -26,7 +26,6 @@ class Sgd {
   void step(float grad_scale = 1.0F);
 
   [[nodiscard]] float current_lr() const;
-  [[nodiscard]] int steps_taken() const noexcept { return steps_; }
 
  private:
   std::vector<Tensor*> params_;

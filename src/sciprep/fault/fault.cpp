@@ -53,20 +53,6 @@ const char* site_name(Site site) noexcept {
   return "?";
 }
 
-const char* action_name(Action action) noexcept {
-  switch (action) {
-    case Action::kFail:
-      return "fail";
-    case Action::kRetry:
-      return "retry";
-    case Action::kSkipSample:
-      return "skip_sample";
-    case Action::kFallback:
-      return "fallback";
-  }
-  return "?";
-}
-
 const char* event_kind_name(EventKind kind) noexcept {
   switch (kind) {
     case EventKind::kRetry:
@@ -112,10 +98,6 @@ Injector::Injector(std::uint64_t seed, obs::MetricsRegistry* metrics)
 
 void Injector::configure(Site site, const SiteConfig& config) {
   sites_[index_of(site)] = config;
-}
-
-const SiteConfig& Injector::site_config(Site site) const noexcept {
-  return sites_[static_cast<std::size_t>(static_cast<int>(site))];
 }
 
 std::uint64_t Injector::draw_u64(Site site, std::uint64_t op,

@@ -75,7 +75,6 @@ class Injector {
                     obs::MetricsRegistry* metrics = nullptr);
 
   void configure(Site site, const SiteConfig& config);
-  [[nodiscard]] const SiteConfig& site_config(Site site) const noexcept;
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
   /// Gate an operation through `site`: sleeps if the delay draw fires, then
@@ -125,8 +124,6 @@ enum class Action {
   kFallback,    // re-decode through the CPU baseline path
 };
 
-const char* action_name(Action action) noexcept;
-
 struct RetryPolicy {
   int max_attempts = 3;            // total tries, including the first
   double backoff_seconds = 0;      // sleep before the second attempt
@@ -155,10 +152,6 @@ struct FaultPolicy {
   /// oldest entries evicted past the cap (fault.quarantine_evictions_total)
   /// so it can never grow without limit.
   std::uint64_t quarantine_cap = 1u << 16;
-
-  [[nodiscard]] bool recovery_enabled() const noexcept {
-    return on_transient != Action::kFail || on_corrupt != Action::kFail;
-  }
 };
 
 /// Kinds of recovery/guard incidents a pipeline reports to an installed

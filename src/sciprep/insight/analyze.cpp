@@ -33,15 +33,6 @@ std::uint64_t hist_count(const obs::MetricsSnapshot& snap, const char* name) {
 
 }  // namespace
 
-#if defined(SCIPREP_OBS_DISABLED)
-
-BottleneckReport analyze_critical_path(const AnalyzerInput& input) {
-  (void)input;
-  return {};
-}
-
-#else
-
 BottleneckReport analyze_critical_path(const AnalyzerInput& input) {
   const obs::MetricsRegistry& registry =
       input.metrics != nullptr ? *input.metrics : obs::MetricsRegistry::global();
@@ -268,8 +259,6 @@ BottleneckReport analyze_critical_path(const AnalyzerInput& input) {
   }
   return report;
 }
-
-#endif  // SCIPREP_OBS_DISABLED
 
 std::string BottleneckReport::to_json() const {
   std::string out;

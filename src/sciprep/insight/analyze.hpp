@@ -113,8 +113,7 @@ struct AnalyzerInput {
   std::size_t workers = 1;
 };
 
-/// Build the report. Pure read: consumes snapshots, mutates nothing. Under
-/// SCIPREP_OBS_DISABLED returns a default-constructed report.
+/// Build the report. Pure read: consumes snapshots, mutates nothing.
 [[nodiscard]] BottleneckReport analyze_critical_path(const AnalyzerInput& input);
 
 /// Write report.to_json() to `path` atomically; throws IoError on failure.

@@ -21,16 +21,6 @@ std::uint64_t ContinuousExporter::ticks_total() const noexcept {
   return ticks_.load(std::memory_order_relaxed);
 }
 
-#if defined(SCIPREP_OBS_DISABLED)
-
-void ContinuousExporter::start() {}
-void ContinuousExporter::stop() {}
-void ContinuousExporter::tick() {}
-void ContinuousExporter::run() {}
-void ContinuousExporter::tick_locked() {}
-
-#else
-
 void ContinuousExporter::start() {
   std::lock_guard lock(mutex_);
   if (running_) return;
@@ -113,7 +103,5 @@ void ContinuousExporter::tick_locked() {
   ticks_.fetch_add(1, std::memory_order_relaxed);
   metrics_->counter("insight.export_ticks_total").add(1);
 }
-
-#endif  // SCIPREP_OBS_DISABLED
 
 }  // namespace sciprep::insight

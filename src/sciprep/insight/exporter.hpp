@@ -15,9 +15,6 @@
 // after flushing one final tick — so every counter increment between start()
 // and stop() lands in exactly one tick's delta, including increments in the
 // final partial interval.
-//
-// Under SCIPREP_OBS_DISABLED the exporter compiles to a no-op: start() and
-// stop() do nothing and no files are written.
 #pragma once
 
 #include <atomic>

@@ -41,7 +41,6 @@ FlightRecorder::FlightRecorder(FlightRecorderConfig config)
                                           : &obs::MetricsRegistry::global()),
       tracer_(config_.tracer != nullptr ? config_.tracer
                                         : &obs::Tracer::global()) {
-#if !defined(SCIPREP_OBS_DISABLED)
   if (!config_.dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(config_.dir, ec);
@@ -50,7 +49,6 @@ FlightRecorder::FlightRecorder(FlightRecorderConfig config)
                config_.dir, ec.message());
     }
   }
-#endif
 }
 
 std::uint64_t FlightRecorder::incidents_written() const noexcept {
@@ -62,14 +60,6 @@ std::uint64_t FlightRecorder::incidents_suppressed() const noexcept {
   std::lock_guard lock(mutex_);
   return suppressed_;
 }
-
-#if defined(SCIPREP_OBS_DISABLED)
-
-void FlightRecorder::record_incident(const fault::RecoveryEvent&) noexcept {}
-void FlightRecorder::dump_locked(const LoggedEvent&) {}
-fault::RecoveryListener FlightRecorder::listener() { return {}; }
-
-#else
 
 fault::RecoveryListener FlightRecorder::listener() {
   return [this](const fault::RecoveryEvent& event) { record_incident(event); };
@@ -177,7 +167,5 @@ void FlightRecorder::dump_locked(const LoggedEvent& logged) {
           fault::event_kind_name(logged.event.kind));
   sysio::write_file_atomic(path, as_bytes(body));
 }
-
-#endif  // SCIPREP_OBS_DISABLED
 
 }  // namespace sciprep::insight

@@ -20,8 +20,7 @@
 //
 // record_incident() never throws: it is called from pool workers and the
 // watchdog thread in the middle of recovery, where an exception would turn a
-// recovered fault into a failed run. Under SCIPREP_OBS_DISABLED the recorder
-// compiles to a no-op and listener() returns a null callback.
+// recovered fault into a failed run.
 #pragma once
 
 #include <chrono>
@@ -80,8 +79,7 @@ class FlightRecorder {
   void record_incident(const fault::RecoveryEvent& event) noexcept;
 
   /// Adapter for PipelineConfig::on_recovery_event. The recorder must
-  /// outlive the pipeline. Returns a null callback under
-  /// SCIPREP_OBS_DISABLED (the pipeline skips null listeners).
+  /// outlive the pipeline.
   [[nodiscard]] fault::RecoveryListener listener();
 
   [[nodiscard]] std::uint64_t incidents_written() const noexcept;

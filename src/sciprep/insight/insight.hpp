@@ -13,8 +13,6 @@
 //   * FlightRecorder (flightrec.hpp) — crash-safe, rate-limited incident
 //     dumps (last-K spans, metrics snapshot, decision log, config
 //     fingerprint) on every recovery/guard event.
-//
-// Under SCIPREP_OBS_DISABLED all three compile to no-ops.
 #pragma once
 
 #include "sciprep/insight/analyze.hpp"

@@ -1,5 +1,6 @@
 #include "sciprep/obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -42,9 +43,11 @@ std::string json_escape(std::string_view s) {
 
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
+  // Shortest text that strtod reads back as the same double: at most 24
+  // characters ("-2.2250738585072014e-308").
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  return {buf, end};
 }
 
 /// Recursive-descent RFC 8259 parser over a string_view cursor; `depth`

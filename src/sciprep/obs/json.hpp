@@ -16,8 +16,8 @@ namespace sciprep::obs {
 /// Escape `s` for inclusion inside a JSON string literal (no quotes added).
 std::string json_escape(std::string_view s);
 
-/// Format a double as a JSON value: "null" for NaN/inf, shortest-ish %.12g
-/// otherwise.
+/// Format a double as a JSON value: "null" for NaN/inf, otherwise the
+/// shortest decimal that parses back to the same double.
 std::string json_number(double v);
 
 /// Deepest nesting of arrays/objects json_parse() accepts.

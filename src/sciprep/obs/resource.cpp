@@ -3,10 +3,8 @@
 #include <cstdio>
 #include <cstring>
 
-#if !defined(SCIPREP_OBS_DISABLED)
 #include <sys/resource.h>
 #include <unistd.h>
-#endif
 
 #include "sciprep/common/error.hpp"
 #include "sciprep/common/format.hpp"
@@ -30,14 +28,6 @@ std::string ResourceSample::to_json() const {
 ResourceSampler::ResourceSampler(MetricsRegistry* registry)
     : registry_(registry != nullptr ? registry
                                     : &MetricsRegistry::global()) {}
-
-#if defined(SCIPREP_OBS_DISABLED)
-
-ResourceSample ResourceSampler::sample() { return {}; }
-
-ResourceSample ResourceSampler::publish() { return {}; }
-
-#else
 
 namespace {
 
@@ -146,8 +136,6 @@ ResourceSample ResourceSampler::publish() {
   set("proc.threads", s.threads);
   return s;
 }
-
-#endif  // SCIPREP_OBS_DISABLED
 
 std::function<void()> ResourceSampler::exporter_hook() {
   return [this] { publish(); };

@@ -8,10 +8,6 @@
 // and getrusage(2) into one ResourceSample and publishes the values as
 // proc.* gauges, so the insight exporter's JSONL ticks and the bench records
 // (apps/benchreport.hpp) carry the same readings.
-//
-// Under SCIPREP_OBS_DISABLED everything compiles to a no-op: sample()
-// returns a default (ok == false) sample and publish() touches nothing — the
-// healthy path pays zero, matching the rest of the observability stack.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +23,7 @@ namespace sciprep::obs {
 /// monotone across samples of one process; rss_bytes is instantaneous and
 /// peak_rss_bytes is its high-watermark.
 struct ResourceSample {
-  bool ok = false;                    // false: sampling unavailable/disabled
+  bool ok = false;                    // false: sampling unavailable
   double cpu_utime_seconds = 0;       // user CPU, whole process (getrusage)
   double cpu_stime_seconds = 0;       // system CPU
   std::uint64_t rss_bytes = 0;        // current resident set (VmRSS)
@@ -58,12 +54,10 @@ class ResourceSampler {
   explicit ResourceSampler(MetricsRegistry* registry = nullptr);
 
   /// Read /proc + getrusage right now. Never throws; a sample taken on a
-  /// host without /proc still carries the getrusage fields. Returns
-  /// ok == false (all zeros) under SCIPREP_OBS_DISABLED.
+  /// host without /proc still carries the getrusage fields.
   [[nodiscard]] static ResourceSample sample();
 
-  /// sample() + set the proc.* gauges. Thread-safe; no-op (returns
-  /// ok == false) under SCIPREP_OBS_DISABLED.
+  /// sample() + set the proc.* gauges. Thread-safe.
   ResourceSample publish();
 
   /// Callback form of publish() for ExporterConfig::pre_tick.

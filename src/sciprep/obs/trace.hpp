@@ -12,8 +12,8 @@
 // chrome://tracing or https://ui.perfetto.dev to see the pipeline timeline.
 //
 // The tracer is disabled by default; ScopedSpan is a no-op (one relaxed
-// atomic load) until set_enabled(true). The SCIPREP_OBS_* macros in obs.hpp
-// additionally compile away entirely under SCIPREP_OBS_DISABLED.
+// atomic load) until set_enabled(true). Every build carries the tracer;
+// loadbench's obs.trace_overhead_fraction prices it switched on.
 #pragma once
 
 #include <atomic>
@@ -43,7 +43,7 @@ class Tracer {
 
   explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
-  /// Process-wide tracer all instrumentation macros record into.
+  /// Process-wide tracer that ScopedSpan(name, category) records into.
   static Tracer& global();
 
   void set_enabled(bool enabled) noexcept {

@@ -8,7 +8,7 @@
 
 #include "sciprep/common/error.hpp"
 #include "sciprep/io/tfrecord.hpp"
-#include "sciprep/obs/obs.hpp"
+#include "sciprep/obs/trace.hpp"
 
 namespace sciprep::pipeline {
 
@@ -178,7 +178,7 @@ void DataPipeline::start_epoch(std::uint64_t epoch) {
   delivered_recovery_ = 0;
   epoch_quarantine_.clear();
   if (config_.epoch_order) {
-    SCIPREP_OBS_SPAN("pipeline.shuffle", "pipeline");
+    const obs::ScopedSpan span("pipeline.shuffle", "pipeline");
     const double t0 = now_seconds();
     order_ = config_.epoch_order(epoch);
     for (const std::size_t id : order_) {
@@ -194,7 +194,7 @@ void DataPipeline::start_epoch(std::uint64_t epoch) {
   order_.resize(dataset_.size());
   std::iota(order_.begin(), order_.end(), 0);
   if (config_.shuffle) {
-    SCIPREP_OBS_SPAN("pipeline.shuffle", "pipeline");
+    const obs::ScopedSpan span("pipeline.shuffle", "pipeline");
     const double t0 = now_seconds();
     Rng rng(split_seed(config_.seed, epoch, kShuffleStream));
     for (std::size_t i = order_.size(); i > 1; --i) {
@@ -243,7 +243,7 @@ codec::TensorF16 DataPipeline::decode_sample(std::size_t index) const {
 
 codec::TensorF16 DataPipeline::decode_guarded(std::size_t index, int attempt,
                                               bool force_cpu) const {
-  SCIPREP_OBS_SPAN("pipeline.decode", "pipeline");
+  const obs::ScopedSpan span("pipeline.decode", "pipeline");
   guard::poll_cancellation();
   // One deadline covers the whole decode attempt; a retry re-arms a fresh
   // token, so an expiry poisons exactly one attempt.
@@ -253,7 +253,7 @@ codec::TensorF16 DataPipeline::decode_guarded(std::size_t index, int attempt,
   Bytes scratch;
   std::uint64_t op = index;
   {
-    SCIPREP_OBS_SPAN("pipeline.io_read", "pipeline");
+    const obs::ScopedSpan span("pipeline.io_read", "pipeline");
     const StageTimer io_timer(m_.io_read_seconds);
     const guard::StageGuard io_deadline(watchdog_.get(), "io.read",
                                         config_.deadlines.io_read_seconds);
@@ -280,7 +280,7 @@ codec::TensorF16 DataPipeline::decode_guarded(std::size_t index, int attempt,
     case StorageFormat::kGzipTfRecord: {
       Bytes plain;
       {
-        SCIPREP_OBS_SPAN("pipeline.gunzip", "pipeline");
+        const obs::ScopedSpan span("pipeline.gunzip", "pipeline");
         const StageTimer gunzip_timer(m_.gunzip_seconds);
         const guard::StageGuard gunzip_deadline(
             watchdog_.get(), "gunzip", config_.deadlines.gunzip_seconds);
@@ -442,7 +442,7 @@ DataPipeline::SlotOutcome DataPipeline::decode_with_recovery(
 
 DataPipeline::Assembled DataPipeline::assemble_batch(std::uint64_t first,
                                                      std::uint64_t count) {
-  SCIPREP_OBS_SPAN_NAMED(assemble_span, "pipeline.batch_assemble", "pipeline");
+  obs::ScopedSpan assemble_span("pipeline.batch_assemble", "pipeline");
   if (assemble_span.active()) {
     assemble_span.set_args_json(
         fmt("{{\"first\": {}, \"count\": {}, \"epoch\": {}}}", first, count,
@@ -474,7 +474,7 @@ DataPipeline::Assembled DataPipeline::assemble_batch(std::uint64_t first,
     // order — a sample augments identically no matter which rank of a
     // sharded run delivers it, or where re-sharding lands it.
     if (outcome.tensor && !config_.ops.empty()) {
-      SCIPREP_OBS_SPAN("pipeline.ops", "pipeline");
+      const obs::ScopedSpan span("pipeline.ops", "pipeline");
       Rng rng(split_seed(config_.seed, epoch_, index));
       for (const auto& op : config_.ops) {
         op->apply(*outcome.tensor, rng);
@@ -613,7 +613,7 @@ bool DataPipeline::next_batch(Batch& batch) {
       // the next call continues with the ranges after it.
       Pending pending = std::move(*pending_);
       pending_.reset();
-      SCIPREP_OBS_SPAN("pipeline.prefetch_wait", "pipeline");
+      const obs::ScopedSpan span("pipeline.prefetch_wait", "pipeline");
       // The prefetch-wait deadline cancels the *batch* token: the workers
       // unwind cooperatively (DeadlineError through the per-sample recovery
       // policy), the future completes, and get() returns the recovered —

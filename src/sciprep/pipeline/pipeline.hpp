@@ -219,13 +219,10 @@ class DataPipeline {
   [[nodiscard]] PipelineStats stats() const;
   [[nodiscard]] std::size_t batches_per_epoch() const;
 
-  /// Current epoch / delivered-position cursor / order length — read by the
-  /// shard coordinator to compute a dead rank's undelivered remainder.
+  /// Current epoch / delivered-position cursor — read by the shard
+  /// coordinator to compute a dead rank's undelivered remainder.
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] std::uint64_t consumed() const noexcept { return consumed_; }
-  [[nodiscard]] std::size_t order_size() const noexcept {
-    return order_.size();
-  }
 
   /// Sample ids quarantined by the kSkipSample policy, sorted ascending and
   /// de-duplicated, accumulated across the pipeline's lifetime (the same

@@ -491,19 +491,6 @@ Admission DataService::session_admission(int session) const {
   return tenant_checked(session).admission;
 }
 
-const std::string& DataService::session_name(int session) const {
-  std::lock_guard lock(mutex_);
-  return tenant_checked(session).spec.name;
-}
-
-int DataService::find_session(const std::string& name) const {
-  std::lock_guard lock(mutex_);
-  for (std::size_t i = tenants_.size(); i > 0; --i) {
-    if (tenants_[i - 1]->spec.name == name) return static_cast<int>(i - 1);
-  }
-  return -1;
-}
-
 const shard::GlobalStreamDigest& DataService::digest(int session) const {
   std::lock_guard lock(mutex_);
   return tenant_checked(session).digest;

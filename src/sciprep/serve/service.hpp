@@ -198,9 +198,6 @@ class DataService {
   /// The admission level the session is currently running at (it can change
   /// across a suspend/reattach cycle as pressure shifts).
   [[nodiscard]] Admission session_admission(int session) const;
-  [[nodiscard]] const std::string& session_name(int session) const;
-  /// The session currently holding `name` (any state), or -1.
-  [[nodiscard]] int find_session(const std::string& name) const;
 
   /// The tenant's position-keyed content digest (survives suspend/eviction;
   /// see shard::GlobalStreamDigest for the bit-identity contract). Empty

@@ -466,10 +466,6 @@ int ShardCoordinator::alive_count() const {
   return count;
 }
 
-obs::MetricsRegistry& ShardCoordinator::rank_metrics(int rank) const {
-  return *ranks_.at(static_cast<std::size_t>(rank)).registry;
-}
-
 std::uint64_t ShardCoordinator::config_fingerprint(int rank) const {
   const Rank& entry = ranks_.at(static_cast<std::size_t>(rank));
   if (entry.pipe == nullptr) {

@@ -155,8 +155,6 @@ class ShardCoordinator {
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] bool alive(int rank) const;
   [[nodiscard]] int alive_count() const;
-  /// This rank's private metrics registry (valid for dead ranks too).
-  [[nodiscard]] obs::MetricsRegistry& rank_metrics(int rank) const;
   /// The shard-level registry (shard.* counters).
   [[nodiscard]] obs::MetricsRegistry& metrics() const noexcept {
     return *metrics_;

@@ -7,7 +7,7 @@
 #include "sciprep/common/error.hpp"
 #include "sciprep/common/format.hpp"
 #include "sciprep/guard/cancel.hpp"
-#include "sciprep/obs/obs.hpp"
+#include "sciprep/obs/trace.hpp"
 
 namespace sciprep::sim {
 
@@ -31,7 +31,7 @@ KernelStats SimGpu::launch(std::size_t warp_count,
   stats.warps = warp_count;
   if (warp_count == 0) return stats;
 
-  SCIPREP_OBS_SPAN_NAMED(kernel_span, "sim.kernel", "sim");
+  obs::ScopedSpan kernel_span("sim.kernel", "sim");
   guard::poll_cancellation();
   const auto start = std::chrono::steady_clock::now();
 

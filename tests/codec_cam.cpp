@@ -15,7 +15,7 @@
 #include "sciprep/common/rng.hpp"
 #include "sciprep/compress/deflate.hpp"
 #include "sciprep/data/cam_gen.hpp"
-#include "sciprep/obs/obs.hpp"
+#include "sciprep/obs/metrics.hpp"
 
 namespace sciprep::codec {
 namespace {
@@ -406,7 +406,6 @@ void expect_lanes_match_scalar(const CamCodec& codec, const Bytes& encoded) {
   }
 }
 
-#if !defined(SCIPREP_OBS_DISABLED)
 /// How many delta lines one decode_cpu sent through each schedule, from the
 /// codec.cam.{lane,scalar}_lines_total counters.
 struct ScheduleCounts {
@@ -432,7 +431,6 @@ bool host_has_lanes() {
   return false;
 #endif
 }
-#endif  // SCIPREP_OBS_DISABLED
 
 TEST(CamLanes, OddWidthsAndLineCountsMatchScalarKernel) {
   // Widths off the 8-value block leave a per-lane tail; 3 x 9 = 27 lines
@@ -492,7 +490,6 @@ TEST(CamLanes, SubnormalExponentsTakeTheScalarKernel) {
     const CamCodec codec({.normalize = false}, {layout});
     const Bytes encoded = codec.encode_sample(sample);
     expect_lanes_match_scalar(codec, encoded);
-#if !defined(SCIPREP_OBS_DISABLED)
     const ScheduleCounts counts = decode_counting(codec, encoded);
     EXPECT_EQ(counts.lanes + counts.scalar,
               CamCodec::inspect(encoded).delta_lines);
@@ -500,7 +497,6 @@ TEST(CamLanes, SubnormalExponentsTakeTheScalarKernel) {
     if (host_has_lanes()) {
       EXPECT_GT(counts.lanes, 0u);
     }
-#endif
   }
 }
 
@@ -611,11 +607,9 @@ TEST(CamLanes, HandmadeSegmentsAndMixedLinesMatchScalarKernel) {
         const Bytes encoded =
             handmade_stream(channels, height, width, normalize, lines);
         expect_lanes_match_scalar(codec, encoded);
-#if !defined(SCIPREP_OBS_DISABLED)
         if (host_has_lanes()) {
           EXPECT_GE(decode_counting(codec, encoded).lanes, 8u);
         }
-#endif
       }
     }
   }

@@ -31,8 +31,6 @@ std::string scratch_dir(const std::string& name) {
   return dir;
 }
 
-#if !defined(SCIPREP_OBS_DISABLED)
-
 /// Record `total` seconds into `hist` as `events` equal samples.
 void fill_stage(obs::MetricsRegistry& reg, const char* hist, double total,
                 int events = 4) {
@@ -550,40 +548,6 @@ TEST(Analyze, ReportCarriesTheTenantScope) {
   EXPECT_TRUE(obs::json_valid(json)) << json;
   EXPECT_NE(json.find("\"scope\":\"tenant3\""), std::string::npos) << json;
 }
-
-#else  // SCIPREP_OBS_DISABLED
-
-// With the instrumentation compiled out, every insight entry point must be a
-// structural no-op: no files, no threads, a null listener, an empty report.
-
-TEST(InsightDisabled, AnalyzerReturnsEmptyReport) {
-  const BottleneckReport report =
-      analyze_critical_path({.wall_seconds = 1.0, .workers = 2});
-  EXPECT_TRUE(report.stages.empty());
-  EXPECT_TRUE(report.dominant_stage.empty());
-}
-
-TEST(InsightDisabled, ExporterAndRecorderWriteNothing) {
-  const std::string dir = scratch_dir("disabled");
-  ExporterConfig ecfg;
-  ecfg.jsonl_path = dir + "/series.jsonl";
-  ContinuousExporter exporter(ecfg);
-  exporter.start();
-  exporter.tick();
-  exporter.stop();
-  EXPECT_EQ(exporter.ticks_total(), 0u);
-  EXPECT_FALSE(std::filesystem::exists(ecfg.jsonl_path));
-
-  FlightRecorderConfig fcfg;
-  fcfg.dir = dir + "/incidents";
-  FlightRecorder recorder(fcfg);
-  EXPECT_FALSE(static_cast<bool>(recorder.listener()));
-  fault::RecoveryEvent event;
-  recorder.record_incident(event);
-  EXPECT_EQ(recorder.incidents_written(), 0u);
-}
-
-#endif  // SCIPREP_OBS_DISABLED
 
 }  // namespace
 }  // namespace sciprep::insight

@@ -3,6 +3,7 @@
 // sampling.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -13,8 +14,10 @@
 
 #include "sciprep/common/log.hpp"
 #include "sciprep/common/threadpool.hpp"
-#include "sciprep/obs/obs.hpp"
+#include "sciprep/obs/json.hpp"
+#include "sciprep/obs/metrics.hpp"
 #include "sciprep/obs/resource.hpp"
+#include "sciprep/obs/trace.hpp"
 
 namespace sciprep::obs {
 namespace {
@@ -33,6 +36,24 @@ TEST(JsonNumber, NonFiniteBecomesNull) {
   EXPECT_EQ(json_number(std::nan("")), "null");
   EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(json_number(2.5), "2.5");
+}
+
+TEST(JsonNumber, FiniteDoublesRoundTripExactly) {
+  for (const double v :
+       {0.1 + 0.2, 1.0 / 3.0, 123456789012.5, 1e-300, -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 3,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest()}) {
+    const std::string text = json_number(v);
+    JsonValue doc;
+    ASSERT_TRUE(json_parse(text, doc)) << text;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(doc.as_number()),
+              std::bit_cast<std::uint64_t>(v))
+        << text;
+  }
+  EXPECT_EQ(json_number(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(json_number(123456789012.5), "123456789012.5");
 }
 
 TEST(JsonValid, AcceptsValidDocuments) {
@@ -322,43 +343,32 @@ TEST(Metrics, GlobalRegistryCountsLogEvents) {
   EXPECT_EQ(global.counter_value("log.errors_total"), err0 + 1);
 }
 
-// --- Macros ----------------------------------------------------------------
+// --- Process-wide tracer and registry ---------------------------------------
 
-TEST(ObsMacros, SpanMacroRecordsWhenGlobalTracerEnabled) {
+TEST(ObsGlobals, ScopedSpanRecordsWhenGlobalTracerEnabled) {
   Tracer& tracer = Tracer::global();
   tracer.clear();
   const std::uint64_t before = tracer.total_recorded();
   tracer.set_enabled(true);
   {
-    SCIPREP_OBS_SPAN("macro.test", "test");
+    const ScopedSpan span("global.test", "test");
   }
   tracer.set_enabled(false);
-#if defined(SCIPREP_OBS_DISABLED)
-  EXPECT_EQ(tracer.total_recorded(), before);  // compiled out
-#else
   EXPECT_EQ(tracer.total_recorded(), before + 1);
   const auto spans = tracer.snapshot();
-  EXPECT_EQ(spans.back().name, "macro.test");
-#endif
+  EXPECT_EQ(spans.back().name, "global.test");
   tracer.clear();
 }
 
-TEST(ObsMacros, CountMacroBumpsGlobalCounter) {
+TEST(ObsGlobals, GlobalCounterAddAccumulates) {
   const std::uint64_t before =
-      MetricsRegistry::global().counter_value("obs_test.macro_total");
-  SCIPREP_OBS_COUNT("obs_test.macro_total", 3);
-#if defined(SCIPREP_OBS_DISABLED)
-  EXPECT_EQ(MetricsRegistry::global().counter_value("obs_test.macro_total"),
-            before);
-#else
-  EXPECT_EQ(MetricsRegistry::global().counter_value("obs_test.macro_total"),
+      MetricsRegistry::global().counter_value("obs_test.global_total");
+  MetricsRegistry::global().counter("obs_test.global_total").add(3);
+  EXPECT_EQ(MetricsRegistry::global().counter_value("obs_test.global_total"),
             before + 3);
-#endif
 }
 
 // --- Resource sampler --------------------------------------------------------
-
-#if !defined(SCIPREP_OBS_DISABLED)
 
 TEST(ResourceSampler, PeakRssNeverBelowCurrent) {
   const ResourceSample s = ResourceSampler::sample();
@@ -410,20 +420,6 @@ TEST(ResourceSampler, SampleJsonIsValid) {
   const ResourceSample s = ResourceSampler::sample();
   EXPECT_TRUE(json_valid(s.to_json())) << s.to_json();
 }
-
-#else  // SCIPREP_OBS_DISABLED
-
-TEST(ResourceSampler, DisabledBuildIsANoOp) {
-  MetricsRegistry registry;
-  ResourceSampler sampler(&registry);
-  const ResourceSample s = sampler.publish();
-  EXPECT_FALSE(s.ok);
-  EXPECT_EQ(s.rss_bytes, 0u);
-  EXPECT_DOUBLE_EQ(s.cpu_seconds(), 0.0);
-  EXPECT_TRUE(registry.snapshot().gauges.empty());
-}
-
-#endif  // SCIPREP_OBS_DISABLED
 
 }  // namespace
 }  // namespace sciprep::obs

@@ -516,7 +516,9 @@ StatsPayload sample_stats() {
   totals.counters["wire.frames_total"] = 17;
   totals.gauges["serve.queue_depth"] = {3, 12};
   totals.histograms["flow.client.wait_seconds"] = {64, 0.125};
-  totals.histograms["stage.decode_seconds"] = {64, 1.5};
+  // 17 significant digits, as a sum of stage times usually has: the line
+  // must carry them all for the sum to cross bit-exact.
+  totals.histograms["stage.decode_seconds"] = {64, 1.4142135623730951};
   stats.line.delta = obs::snapshot_delta(totals, previous);
   return stats;
 }
@@ -544,11 +546,11 @@ TEST(WireStats, FleetLineRoundtripsThroughTheStatsPayload) {
             12);
   ASSERT_EQ(back.line.totals.histograms.size(), 2u);
   EXPECT_EQ(back.line.totals.histograms.at("stage.decode_seconds").count, 64u);
-  EXPECT_DOUBLE_EQ(back.line.totals.histograms.at("stage.decode_seconds").sum,
-                   1.5);
+  EXPECT_EQ(back.line.totals.histograms.at("stage.decode_seconds").sum,
+            1.4142135623730951);
   EXPECT_EQ(back.line.delta.histograms.at("stage.decode_seconds").count, 8u);
-  EXPECT_DOUBLE_EQ(back.line.delta.histograms.at("stage.decode_seconds").sum,
-                   0.25);
+  EXPECT_EQ(back.line.delta.histograms.at("stage.decode_seconds").sum,
+            stats.line.delta.histograms.at("stage.decode_seconds").sum);
 }
 
 TEST(WireStats, TruncationAtEveryOffsetIsFormatError) {
