@@ -769,9 +769,11 @@ Bytes CamCodec::encode_sample(const io::CamSample& sample) const {
 
 TensorF16 CamCodec::decode_cpu(ByteSpan encoded) const {
   const obs::ScopedSpan span("codec.cam.decode_cpu", "codec");
-  obs::MetricsRegistry::global()
-      .counter("codec.cam.decode_bytes_in_total")
-      .add(encoded.size());
+  // Each counter is bound once (DESIGN §6): the global registry is never
+  // destroyed and its reset() keeps every name, so the reference holds.
+  static obs::Counter& decode_bytes_in_total =
+      obs::MetricsRegistry::global().counter("codec.cam.decode_bytes_in_total");
+  decode_bytes_in_total.add(encoded.size());
   ParsedCam p = parse_cam(encoded);
   CamOutput out(p.channels, p.height, p.width, decode_options_.layout,
                 std::move(p.labels));
@@ -812,20 +814,20 @@ TensorF16 CamCodec::decode_cpu(ByteSpan encoded) const {
     n = 0;
   }
   for (std::size_t l = 0; l < n; ++l) decode_scalar(grouped[l]);
-  obs::MetricsRegistry::global()
-      .counter("codec.cam.lane_lines_total")
-      .add(lane_lines);
-  obs::MetricsRegistry::global()
-      .counter("codec.cam.scalar_lines_total")
-      .add(scalar_lines);
+  static obs::Counter& lane_lines_total =
+      obs::MetricsRegistry::global().counter("codec.cam.lane_lines_total");
+  lane_lines_total.add(lane_lines);
+  static obs::Counter& scalar_lines_total =
+      obs::MetricsRegistry::global().counter("codec.cam.scalar_lines_total");
+  scalar_lines_total.add(scalar_lines);
   return std::move(out.tensor);
 }
 
 TensorF16 CamCodec::decode_gpu(ByteSpan encoded, sim::SimGpu& gpu) const {
   const obs::ScopedSpan span("codec.cam.decode_gpu", "codec");
-  obs::MetricsRegistry::global()
-      .counter("codec.cam.decode_bytes_in_total")
-      .add(encoded.size());
+  static obs::Counter& decode_bytes_in_total =
+      obs::MetricsRegistry::global().counter("codec.cam.decode_bytes_in_total");
+  decode_bytes_in_total.add(encoded.size());
   ParsedCam p = parse_cam(encoded);
   CamOutput out(p.channels, p.height, p.width, decode_options_.layout,
                 std::move(p.labels));
@@ -943,21 +945,23 @@ TensorF16 CamCodec::reference_preprocess_sample(const io::CamSample& sample,
 
 Bytes CamCodec::encode(ByteSpan raw_sample) const {
   const obs::ScopedSpan span("codec.cam.encode", "codec");
-  obs::MetricsRegistry::global()
-      .counter("codec.cam.encode_bytes_in_total")
-      .add(raw_sample.size());
+  static obs::Counter& encode_bytes_in_total =
+      obs::MetricsRegistry::global().counter("codec.cam.encode_bytes_in_total");
+  encode_bytes_in_total.add(raw_sample.size());
   Bytes out = encode_sample(io::CamSample::parse(raw_sample));
-  obs::MetricsRegistry::global()
-      .counter("codec.cam.encode_bytes_out_total")
-      .add(out.size());
+  static obs::Counter& encode_bytes_out_total =
+      obs::MetricsRegistry::global().counter(
+          "codec.cam.encode_bytes_out_total");
+  encode_bytes_out_total.add(out.size());
   return out;
 }
 
 TensorF16 CamCodec::reference_preprocess(ByteSpan raw_sample) const {
   const obs::ScopedSpan span("codec.cam.reference_preprocess", "codec");
-  obs::MetricsRegistry::global()
-      .counter("codec.cam.reference_bytes_in_total")
-      .add(raw_sample.size());
+  static obs::Counter& reference_bytes_in_total =
+      obs::MetricsRegistry::global().counter(
+          "codec.cam.reference_bytes_in_total");
+  reference_bytes_in_total.add(raw_sample.size());
   return reference_preprocess_sample(io::CamSample::parse(raw_sample),
                                      encode_options_.normalize,
                                      decode_options_.layout);

@@ -392,9 +392,12 @@ TensorF16 cosmo_output(const ParsedCosmo& p) {
 
 TensorF16 CosmoCodec::decode_cpu(ByteSpan encoded) const {
   const obs::ScopedSpan span("codec.cosmo.decode_cpu", "codec");
-  obs::MetricsRegistry::global()
-      .counter("codec.cosmo.decode_bytes_in_total")
-      .add(encoded.size());
+  // Each counter is bound once (DESIGN §6): the global registry is never
+  // destroyed and its reset() keeps every name, so the reference holds.
+  static obs::Counter& decode_bytes_in_total =
+      obs::MetricsRegistry::global().counter(
+          "codec.cosmo.decode_bytes_in_total");
+  decode_bytes_in_total.add(encoded.size());
   const ParsedCosmo p = parse_cosmo(encoded);
   TensorF16 out = cosmo_output(p);
   for (const ParsedBlock& b : p.blocks) {
@@ -425,9 +428,10 @@ TensorF16 CosmoCodec::decode_cpu(ByteSpan encoded) const {
 
 TensorF16 CosmoCodec::decode_gpu(ByteSpan encoded, sim::SimGpu& gpu) const {
   const obs::ScopedSpan span("codec.cosmo.decode_gpu", "codec");
-  obs::MetricsRegistry::global()
-      .counter("codec.cosmo.decode_bytes_in_total")
-      .add(encoded.size());
+  static obs::Counter& decode_bytes_in_total =
+      obs::MetricsRegistry::global().counter(
+          "codec.cosmo.decode_bytes_in_total");
+  decode_bytes_in_total.add(encoded.size());
   const ParsedCosmo p = parse_cosmo(encoded);
   TensorF16 out = cosmo_output(p);
   for (const ParsedBlock& b : p.blocks) {
@@ -535,21 +539,24 @@ TensorF16 CosmoCodec::reference_preprocess_sample(const io::CosmoSample& sample,
 
 Bytes CosmoCodec::encode(ByteSpan raw_sample) const {
   const obs::ScopedSpan span("codec.cosmo.encode", "codec");
-  obs::MetricsRegistry::global()
-      .counter("codec.cosmo.encode_bytes_in_total")
-      .add(raw_sample.size());
+  static obs::Counter& encode_bytes_in_total =
+      obs::MetricsRegistry::global().counter(
+          "codec.cosmo.encode_bytes_in_total");
+  encode_bytes_in_total.add(raw_sample.size());
   Bytes out = encode_sample(io::CosmoSample::parse(raw_sample));
-  obs::MetricsRegistry::global()
-      .counter("codec.cosmo.encode_bytes_out_total")
-      .add(out.size());
+  static obs::Counter& encode_bytes_out_total =
+      obs::MetricsRegistry::global().counter(
+          "codec.cosmo.encode_bytes_out_total");
+  encode_bytes_out_total.add(out.size());
   return out;
 }
 
 TensorF16 CosmoCodec::reference_preprocess(ByteSpan raw_sample) const {
   const obs::ScopedSpan span("codec.cosmo.reference_preprocess", "codec");
-  obs::MetricsRegistry::global()
-      .counter("codec.cosmo.reference_bytes_in_total")
-      .add(raw_sample.size());
+  static obs::Counter& reference_bytes_in_total =
+      obs::MetricsRegistry::global().counter(
+          "codec.cosmo.reference_bytes_in_total");
+  reference_bytes_in_total.add(raw_sample.size());
   return reference_preprocess_sample(io::CosmoSample::parse(raw_sample),
                                      options_.fuse_log1p);
 }

@@ -1,6 +1,9 @@
 #include "sciprep/pipeline/ops.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 #include "sciprep/common/error.hpp"
 
@@ -15,6 +18,46 @@ void require_chw(const codec::TensorF16& tensor, const char* op) {
         fmt("{}: requires a [c,h,w] tensor, got rank {}", op,
             tensor.shape.size()));
   }
+}
+
+/// Reverse the order of the 64 / (8 * sizeof(T)) lanes packed in `x`.
+template <class T>
+std::uint64_t reverse_lanes(std::uint64_t x) {
+  x = (x >> 32) | (x << 32);
+  if constexpr (sizeof(T) <= 2) {
+    constexpr std::uint64_t k16 = 0x0000FFFF0000FFFFull;
+    x = ((x >> 16) & k16) | ((x & k16) << 16);
+  }
+  if constexpr (sizeof(T) == 1) {
+    constexpr std::uint64_t k8 = 0x00FF00FF00FF00FFull;
+    x = ((x >> 8) & k8) | ((x & k8) << 8);
+  }
+  return x;
+}
+
+/// std::reverse over [row, row + n), a 64-bit word from each end at a time
+/// (four FP16 values or eight label bytes), then element by element across
+/// the middle.
+template <class T>
+void reverse_row(T* row, std::size_t n) {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                (sizeof(T) == 1 || sizeof(T) == 2));
+  constexpr std::size_t kLanes = sizeof(std::uint64_t) / sizeof(T);
+  T* lo = row;
+  T* hi = row + n;
+  while (static_cast<std::size_t>(hi - lo) >= 2 * kLanes) {
+    hi -= kLanes;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    std::memcpy(&a, lo, sizeof(a));
+    std::memcpy(&b, hi, sizeof(b));
+    a = reverse_lanes<T>(a);
+    b = reverse_lanes<T>(b);
+    std::memcpy(static_cast<void*>(lo), &b, sizeof(b));
+    std::memcpy(static_cast<void*>(hi), &a, sizeof(a));
+    lo += kLanes;
+  }
+  std::reverse(lo, hi);
 }
 
 }  // namespace
@@ -33,14 +76,12 @@ void RandomFlipX::apply(codec::TensorF16& tensor, Rng& rng) const {
   const auto w = tensor.shape[2];
   for (std::uint64_t ci = 0; ci < c; ++ci) {
     for (std::uint64_t y = 0; y < h; ++y) {
-      Half* row = tensor.values.data() + (ci * h + y) * w;
-      std::reverse(row, row + w);
+      reverse_row(tensor.values.data() + (ci * h + y) * w, w);
     }
   }
   if (tensor.byte_labels.size() == h * w) {
     for (std::uint64_t y = 0; y < h; ++y) {
-      auto* row = tensor.byte_labels.data() + y * w;
-      std::reverse(row, row + w);
+      reverse_row(tensor.byte_labels.data() + y * w, w);
     }
   }
 }
@@ -57,7 +98,6 @@ void RandomFlipY::apply(codec::TensorF16& tensor, Rng& rng) const {
   const auto c = tensor.shape[0];
   const auto h = tensor.shape[1];
   const auto w = tensor.shape[2];
-  std::vector<Half> row(w);
   for (std::uint64_t ci = 0; ci < c; ++ci) {
     Half* plane = tensor.values.data() + ci * h * w;
     for (std::uint64_t y = 0; y < h / 2; ++y) {
@@ -67,7 +107,6 @@ void RandomFlipY::apply(codec::TensorF16& tensor, Rng& rng) const {
     }
   }
   if (tensor.byte_labels.size() == h * w) {
-    std::vector<std::uint8_t> tmp(w);
     for (std::uint64_t y = 0; y < h / 2; ++y) {
       auto* top = tensor.byte_labels.data() + y * w;
       auto* bottom = tensor.byte_labels.data() + (h - 1 - y) * w;

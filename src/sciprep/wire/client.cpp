@@ -244,17 +244,19 @@ bool WireClient::next(pipeline::Batch& batch) {
     throw ProtocolError(
         fmt("wire: expected BATCH or END, got {}", frame_type_name(reply.type)));
   }
-  BatchPayload payload = BatchPayload::decode(reply.payload);
+  // Decode into the client's own batch, never the caller's: a frame that
+  // fails its checks throws with the caller's batch untouched.
+  const std::uint64_t seq = BatchPayload::decode(reply.payload, received_);
   const std::uint64_t t_decoded = flow_on ? tracer_->now_ns() : 0;
-  if (payload.seq != stats_.delivered) {
-    throw ProtocolError(fmt("wire: batch seq {} does not match ack {}",
-                            payload.seq, stats_.delivered));
+  if (seq != stats_.delivered) {
+    throw ProtocolError(fmt("wire: batch seq {} does not match ack {}", seq,
+                            stats_.delivered));
   }
   degraded_ = (reply.flags & kFlagDegraded) != 0;
   if (config_.record_digest) {
-    for (std::size_t i = 0; i < payload.batch.samples.size(); ++i) {
-      digest_.record(payload.batch.epoch, payload.batch.order_positions[i],
-                     shard::sample_crc(payload.batch.samples[i]));
+    for (std::size_t i = 0; i < received_.samples.size(); ++i) {
+      digest_.record(received_.epoch, received_.order_positions[i],
+                     shard::sample_crc(received_.samples[i]));
     }
   }
   if (flow_on) {
@@ -267,7 +269,7 @@ bool WireClient::next(pipeline::Batch& batch) {
     tracer_->record(
         flow::kClientBatchSpan, "flow", t_issue, t_decoded,
         fmt("{{\"trace_id\":{},\"span_id\":{},\"seq\":{}}}", trace_id_,
-            span_id, payload.seq));
+            span_id, seq));
     h_encode_->record(static_cast<double>(t_encoded - t_issue) / 1e9);
     h_wait_->record(static_cast<double>(t_replied - t_encoded) / 1e9);
     h_decode_->record(static_cast<double>(t_decoded - t_replied) / 1e9);
@@ -287,7 +289,7 @@ bool WireClient::next(pipeline::Batch& batch) {
       attached_ = false;
     }
   }
-  batch = std::move(payload.batch);
+  std::swap(batch, received_);  // recycles the caller's previous batch
   return true;
 }
 

@@ -107,6 +107,9 @@ class WireClient {
   /// Receive the next batch; false once the stream ended. Retries and
   /// reconnects internally per the config; throws only when the backoff
   /// budget is exhausted or the server reports a non-transient error.
+  /// The frame is decoded into a batch this client owns, which is then
+  /// swapped with `batch`: a throw leaves `batch` as it was, and `batch`'s
+  /// previous tensors are reused by the following call's decode.
   bool next(pipeline::Batch& batch);
 
   /// Beat the tenant's lease without consuming — for gaps where the
@@ -191,6 +194,10 @@ class WireClient {
   /// Reusable receive buffer: a BATCH frame is decoded in place from here
   /// (no payload copy), and steady-state delivery does not allocate.
   Bytes reply_buf_;
+  /// What the next BATCH frame decodes into in place. After a delivery it
+  /// holds the caller's previous batch, so same-shape batches passed back
+  /// through next() neither allocate nor zero-fill their tensors.
+  pipeline::Batch received_;
   bool attached_ = false;
   /// A pipelined NEXT has been sent whose reply has not been received yet;
   /// the next frame on the wire answers it. Reset on every reconnect (a

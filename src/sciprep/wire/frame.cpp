@@ -263,36 +263,35 @@ void BatchPayload::encode_into(ByteWriter& w) const {
   }
 }
 
-BatchPayload BatchPayload::decode(ByteSpan data) {
+std::uint64_t BatchPayload::decode(ByteSpan data, pipeline::Batch& out) {
   ByteReader r(data);
-  BatchPayload p;
-  p.seq = r.get<std::uint64_t>();
-  p.batch.epoch = r.get<std::uint64_t>();
-  p.batch.index_in_epoch = r.get<std::uint64_t>();
-  p.batch.bytes_at_rest = r.get<std::uint64_t>();
+  const auto seq = r.get<std::uint64_t>();
+  out.epoch = r.get<std::uint64_t>();
+  out.index_in_epoch = r.get<std::uint64_t>();
+  out.bytes_at_rest = r.get<std::uint64_t>();
   const auto count = r.get<std::uint32_t>();
   // Every declared count is bounded by the bytes actually present before any
-  // allocation sized from it: a body lying about its array lengths fails
-  // typed (FormatError) instead of oversizing a vector. The checks divide
-  // rather than multiply so a hostile 2^64-scale count cannot overflow.
+  // resize sized from it: a body lying about its array lengths fails typed
+  // (FormatError) instead of oversizing a vector. The checks divide rather
+  // than multiply so a hostile 2^64-scale count cannot overflow.
   constexpr std::size_t kMinSampleBytes = 4 + 8 + 4 + 4;  // all-empty sample
   if (count > r.remaining() / kMinSampleBytes) {
     throw_format("wire: batch declares {} samples but only {} payload bytes "
                  "remain",
                  count, r.remaining());
   }
-  p.batch.samples.reserve(count);
+  // resize() to a vector's current size neither allocates nor touches its
+  // elements; each memcpy below then overwrites them.
+  out.samples.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    codec::TensorF16 sample;
+    codec::TensorF16& sample = out.samples[i];
     const auto rank = r.get<std::uint32_t>();
     if (rank > r.remaining() / sizeof(std::uint64_t)) {
       throw_format("wire: sample {} declares rank {} with {} bytes remaining",
                    i, rank, r.remaining());
     }
-    sample.shape.reserve(rank);
-    for (std::uint32_t d = 0; d < rank; ++d) {
-      sample.shape.push_back(r.get<std::uint64_t>());
-    }
+    sample.shape.resize(rank);
+    for (std::uint64_t& dim : sample.shape) dim = r.get<std::uint64_t>();
     const auto value_count = r.get<std::uint64_t>();
     if (value_count > r.remaining() / sizeof(Half)) {
       throw_format(
@@ -320,17 +319,16 @@ BatchPayload BatchPayload::decode(ByteSpan data) {
     const auto byte_count = r.get<std::uint32_t>();
     const ByteSpan bytes = r.get_bytes(byte_count);
     sample.byte_labels.assign(bytes.begin(), bytes.end());
-    p.batch.samples.push_back(std::move(sample));
   }
-  p.batch.order_positions.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    p.batch.order_positions.push_back(r.get<std::uint64_t>());
+  out.order_positions.resize(count);
+  for (std::uint64_t& pos : out.order_positions) {
+    pos = r.get<std::uint64_t>();
   }
   if (!r.done()) {
     throw_format("wire: {} trailing bytes after a batch payload",
                  r.remaining());
   }
-  return p;
+  return seq;
 }
 
 void DetachedPayload::encode_into(ByteWriter& w) const {

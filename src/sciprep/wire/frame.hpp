@@ -230,7 +230,13 @@ struct BatchPayload {
   pipeline::Batch batch;
 
   void encode_into(ByteWriter& w) const;
-  [[nodiscard]] static BatchPayload decode(ByteSpan data);
+  /// Decode into `out`, overwriting its tensors in place, and return the
+  /// batch's seq. A tensor whose size matches the one already in `out`
+  /// keeps its storage, so decoding a stream of same-shape batches into one
+  /// reused Batch neither allocates nor zero-fills. On a throw `out` holds
+  /// a partial decode: decode into a scratch batch the caller does not see.
+  [[nodiscard]] static std::uint64_t decode(ByteSpan data,
+                                            pipeline::Batch& out);
 };
 
 struct DetachedPayload {

@@ -451,11 +451,11 @@ void WireServer::handle_next(const Socket& conn, long conn_id,
   } else if (session->ready_valid && next.ack == session->ready_seq) {
     // Promote the read-ahead frame: from here it is committed to the wire,
     // so it becomes the resend window even if the send below is severed.
-    session->retained = std::move(session->ready);
+    // The swap hands the retired frame's storage to the next read-ahead.
+    std::swap(session->retained, session->ready);
     session->retained_seq = session->ready_seq;
     session->retained_valid = true;
     session->ready_valid = false;
-    session->ready.clear();
   } else if (!session->ready_valid && next.ack == session->next_seq) {
     if (session->stats.ended) {
       respond(conn, FrameType::kEnd, 0, EmptyPayload{});

@@ -130,6 +130,8 @@ class WireServer {
     /// Read-ahead: the next frame, produced and encoded right after the
     /// previous send so a pipelined client's ack is answered instantly and
     /// the pipeline runs while the consumer consumes. Never been sent.
+    /// Promotion swaps it with `retained`: while !ready_valid it holds the
+    /// retired frame, whose storage the next read-ahead encodes into.
     Bytes ready;
     std::uint64_t ready_seq = 0;
     bool ready_valid = false;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "sciprep/codec/cam_codec.hpp"
@@ -366,6 +367,45 @@ TEST(Ops, FlipYReversesRows) {
   EXPECT_EQ(t.values[0].to_float(), 3.0F);
   EXPECT_EQ(t.values[3].to_float(), 0.0F);
   EXPECT_EQ(t.byte_labels, (std::vector<std::uint8_t>{3, 4, 5, 0, 1, 2}));
+}
+
+TEST(Ops, FlipXMatchesReverse) {
+  // The word-at-a-time reversal against std::reverse, bit for bit, at every
+  // width around its 4-value / 8-byte words and at DeepCAM's 1152.
+  std::vector<std::uint64_t> widths;
+  for (std::uint64_t w = 1; w <= 17; ++w) widths.push_back(w);
+  widths.push_back(1152);
+  for (const std::uint64_t w : widths) {
+    constexpr std::uint64_t c = 2;
+    constexpr std::uint64_t h = 3;
+    codec::TensorF16 t;
+    t.shape = {c, h, w};
+    t.values.resize(c * h * w);
+    for (std::size_t i = 0; i < t.values.size(); ++i) {
+      t.values[i] = Half::from_bits(static_cast<std::uint16_t>(i * 40503u));
+    }
+    t.byte_labels.resize(h * w);
+    for (std::size_t i = 0; i < t.byte_labels.size(); ++i) {
+      t.byte_labels[i] = static_cast<std::uint8_t>(i * 37u + 11u);
+    }
+    codec::TensorF16 want = t;
+    for (std::uint64_t row = 0; row < c * h; ++row) {
+      Half* begin = want.values.data() + row * w;
+      std::reverse(begin, begin + w);
+    }
+    for (std::uint64_t row = 0; row < h; ++row) {
+      std::uint8_t* begin = want.byte_labels.data() + row * w;
+      std::reverse(begin, begin + w);
+    }
+    Rng rng(1);
+    RandomFlipX(1.0).apply(t, rng);
+    ASSERT_EQ(t.values.size(), want.values.size());
+    EXPECT_EQ(std::memcmp(t.values.data(), want.values.data(),
+                          t.values.size() * sizeof(Half)),
+              0)
+        << "width " << w;
+    EXPECT_EQ(t.byte_labels, want.byte_labels) << "width " << w;
+  }
 }
 
 TEST(Ops, FlipRejectsNonImageTensors) {

@@ -285,28 +285,73 @@ Batch make_batch() {
   return batch;
 }
 
+/// A valid batch unlike make_batch() in every count and size: more samples,
+/// other ranks, longer value and label arrays. Decoding into a batch filled
+/// from this one exercises every shrink and overwrite of an in-place decode.
+Batch make_other_batch() {
+  Batch batch;
+  batch.epoch = 7;
+  batch.index_in_epoch = 1;
+  batch.bytes_at_rest = 123;
+  for (int s = 0; s < 5; ++s) {
+    codec::TensorF16 t;
+    t.shape = {3, 2, 5};
+    for (int i = 0; i < 30; ++i) {
+      t.values.push_back(Half(-static_cast<float>(s * 30 + i)));
+    }
+    t.float_labels = {9.0F, 8.0F, 7.0F, 6.0F};
+    t.byte_labels = {1, 2, 3, 4, 5, 6};
+    batch.samples.push_back(std::move(t));
+    batch.order_positions.push_back(static_cast<std::uint64_t>(100 + s));
+  }
+  return batch;
+}
+
+/// `out` after an in-place decode of `bytes` into a batch that `prefill`
+/// (another payload's bytes) filled first.
+Batch decode_over(ByteSpan prefill, ByteSpan bytes) {
+  Batch out;
+  (void)BatchPayload::decode(prefill, out);
+  (void)BatchPayload::decode(bytes, out);
+  return out;
+}
+
+void expect_same_batch(const Batch& y, const Batch& x) {
+  EXPECT_EQ(y.epoch, x.epoch);
+  EXPECT_EQ(y.index_in_epoch, x.index_in_epoch);
+  EXPECT_EQ(y.bytes_at_rest, x.bytes_at_rest);
+  EXPECT_EQ(y.order_positions, x.order_positions);
+  ASSERT_EQ(y.samples.size(), x.samples.size());
+  for (std::size_t s = 0; s < y.samples.size(); ++s) {
+    const codec::TensorF16& a = x.samples[s];
+    const codec::TensorF16& b = y.samples[s];
+    EXPECT_EQ(b.shape, a.shape);
+    ASSERT_EQ(b.values.size(), a.values.size());
+    EXPECT_EQ(std::memcmp(b.values.data(), a.values.data(),
+                          a.values.size() * sizeof(Half)),
+              0);
+    EXPECT_EQ(b.float_labels, a.float_labels);
+    EXPECT_EQ(b.byte_labels, a.byte_labels);
+  }
+}
+
 TEST(WirePayload, BatchPayloadRoundtripsBitIdentically) {
   BatchPayload payload;
   payload.seq = 99;
   payload.batch = make_batch();
-  const BatchPayload back = BatchPayload::decode(payload_bytes(payload));
-  EXPECT_EQ(back.seq, 99u);
-  EXPECT_EQ(back.batch.epoch, payload.batch.epoch);
-  EXPECT_EQ(back.batch.index_in_epoch, payload.batch.index_in_epoch);
-  EXPECT_EQ(back.batch.bytes_at_rest, payload.batch.bytes_at_rest);
-  EXPECT_EQ(back.batch.order_positions, payload.batch.order_positions);
-  ASSERT_EQ(back.batch.samples.size(), payload.batch.samples.size());
-  for (std::size_t s = 0; s < back.batch.samples.size(); ++s) {
-    const codec::TensorF16& x = payload.batch.samples[s];
-    const codec::TensorF16& y = back.batch.samples[s];
-    EXPECT_EQ(y.shape, x.shape);
-    ASSERT_EQ(y.values.size(), x.values.size());
-    EXPECT_EQ(std::memcmp(y.values.data(), x.values.data(),
-                          x.values.size() * sizeof(Half)),
-              0);
-    EXPECT_EQ(y.float_labels, x.float_labels);
-    EXPECT_EQ(y.byte_labels, x.byte_labels);
-  }
+  const Bytes bytes = payload_bytes(payload);
+  Batch back;
+  EXPECT_EQ(BatchPayload::decode(bytes, back), 99u);
+  expect_same_batch(back, payload.batch);
+
+  // In place over a batch with more, larger samples (every vector shrinks)
+  // and the reverse (every vector grows): the result is the same batch.
+  BatchPayload other;
+  other.seq = 3;
+  other.batch = make_other_batch();
+  const Bytes other_bytes = payload_bytes(other);
+  expect_same_batch(decode_over(other_bytes, bytes), payload.batch);
+  expect_same_batch(decode_over(bytes, other_bytes), other.batch);
 }
 
 TEST(WirePayload, BatchPayloadBytesMatchTheGoldenCrc) {
@@ -332,6 +377,9 @@ TEST(WirePayload, FuzzedBatchPayloadBytesFailTypedNeverCrash) {
   payload.seq = 1;
   payload.batch = make_batch();
   const Bytes valid = payload_bytes(payload);
+  BatchPayload other;
+  other.batch = make_other_batch();
+  const Bytes other_bytes = payload_bytes(other);
   std::uint64_t state = 0xC0FFEE;
   int decoded = 0;
   for (int iter = 0; iter < 4000; ++iter) {
@@ -346,13 +394,23 @@ TEST(WirePayload, FuzzedBatchPayloadBytesFailTypedNeverCrash) {
     if (splitmix64(state) % 4 == 0) {
       fuzzed.resize(splitmix64(state) % (valid.size() + 16));
     }
+    // Each mutation is decoded into a fresh batch and, in place, into one
+    // filled from a different valid batch: both reject it the same way.
+    bool fresh_ok = true;
     try {
-      const BatchPayload back = BatchPayload::decode(fuzzed);
-      ++decoded;  // structurally valid mutation — fine, content differs
-      (void)back;
+      Batch back;
+      (void)BatchPayload::decode(fuzzed, back);
     } catch (const FormatError&) {
-      // typed rejection: exactly what hostile input must produce
+      fresh_ok = false;  // typed rejection: what hostile input must produce
     }
+    bool reused_ok = true;
+    try {
+      (void)decode_over(other_bytes, fuzzed);
+    } catch (const FormatError&) {
+      reused_ok = false;
+    }
+    EXPECT_EQ(reused_ok, fresh_ok) << "iteration " << iter;
+    decoded += fresh_ok ? 1 : 0;  // a valid mutation: fine, content differs
   }
   // Overwhelmingly these mutations must be rejected; a handful may keep the
   // structure intact (e.g. edits inside sample values).
@@ -364,10 +422,16 @@ TEST(WirePayload, TruncatedBatchPayloadAtEveryOffsetFailsTyped) {
   payload.seq = 1;
   payload.batch = make_batch();
   const Bytes valid = payload_bytes(payload);
+  BatchPayload other;
+  other.batch = make_other_batch();
+  const Bytes other_bytes = payload_bytes(other);
   for (std::size_t n = 0; n < valid.size(); ++n) {
-    EXPECT_THROW((void)BatchPayload::decode(ByteSpan(valid.data(), n)),
-                 FormatError)
+    const ByteSpan prefix(valid.data(), n);
+    Batch fresh;
+    EXPECT_THROW((void)BatchPayload::decode(prefix, fresh), FormatError)
         << "prefix " << n;
+    EXPECT_THROW((void)decode_over(other_bytes, prefix), FormatError)
+        << "prefix " << n << " into a reused batch";
   }
 }
 
@@ -668,6 +732,50 @@ TEST(WireSocket, ReadDeadlineSurfacesAsTransientNotHang) {
   set_io_deadline(client, 0.05);
   Bytes buf;
   EXPECT_THROW((void)recv_frame(client, buf, false), TransientError);
+  server.join();
+  ::unlink(path.c_str());
+}
+
+TEST(WireSocket, HostileBatchBodyLeavesTheCallersBatchIntact) {
+  // A scripted server: handshake, one valid BATCH, then a BATCH whose
+  // envelope checks out but whose body is cut short. The client decodes
+  // into its own batch, so the throw leaves the caller holding batch 0.
+  const std::string path = test_socket_path("hb");
+  const Socket listener = listen_unix(path, 4);
+  BatchPayload good;
+  good.seq = 0;
+  good.batch = make_batch();
+  BatchPayload other;
+  other.seq = 1;
+  other.batch = make_other_batch();
+  Bytes bad = payload_bytes(other);
+  bad.pop_back();
+  std::thread server([&] {
+    Socket conn = accept_unix(listener);
+    ASSERT_TRUE(conn.valid());
+    set_io_deadline(conn, 5.0);
+    Bytes buf;
+    ASSERT_TRUE(recv_frame(conn, buf, false));  // HELLO
+    send_frame(conn, FrameType::kWelcome, 0, WelcomePayload{});
+    ASSERT_TRUE(recv_frame(conn, buf, false));  // ATTACH
+    send_frame(conn, FrameType::kAttached, 0, AttachedPayload{});
+    ASSERT_TRUE(recv_frame(conn, buf, false));  // NEXT ack 0
+    send_frame(conn, FrameType::kBatch, 0, good);
+    ASSERT_TRUE(recv_frame(conn, buf, false));  // pipelined NEXT ack 1
+    send_frame(conn, FrameType::kBatch, 0, RawPayload{bad});
+    (void)recv_frame(conn, buf, true);  // until the client closes
+  });
+  {
+    WireClientConfig cfg;
+    cfg.socket_path = path;
+    cfg.tenant = "scripted";
+    WireClient client(cfg);
+    Batch batch;
+    ASSERT_TRUE(client.next(batch));
+    expect_same_batch(batch, good.batch);
+    EXPECT_THROW((void)client.next(batch), FormatError);
+    expect_same_batch(batch, good.batch);
+  }
   server.join();
   ::unlink(path.c_str());
 }
