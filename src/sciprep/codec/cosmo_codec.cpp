@@ -96,6 +96,23 @@ void emit_counts(Count&& count, std::size_t n, bool log1p, Half* dst) {
   }
 }
 
+/// Counts below this read the fused transform from the process-wide table.
+constexpr std::size_t kLog1pTableSize = 65536;
+
+/// fp16(log1p(count)) for every count in [0, kLog1pTableSize), built once
+/// through the same transform and span convert as the direct path. A
+/// function-local static, so the 128 KiB live in static storage and the
+/// one-time build is thread-safe.
+const std::array<Half, kLog1pTableSize>& log1p_table() {
+  static const std::array<Half, kLog1pTableSize> table = [] {
+    std::array<Half, kLog1pTableSize> t;
+    emit_counts([](std::size_t i) { return static_cast<std::int32_t>(i); },
+                t.size(), /*log1p=*/true, t.data());
+    return t;
+  }();
+  return table;
+}
+
 }  // namespace
 
 CosmoCodec::CosmoCodec(CosmoEncodeOptions options) : options_(options) {
@@ -369,12 +386,26 @@ std::int32_t load_table_count(const std::uint8_t* table_bytes, std::size_t i) {
   return v;
 }
 
-/// Materialize a block's FP16 table: the fused log1p is applied to the unique
-/// groups only — three orders of magnitude fewer values than the volume.
+/// Materialize a block's FP16 group table. With the fused log1p, each entry
+/// is a read of the process-wide count table, so the transform runs once per
+/// distinct count in the process rather than once per group entry.
 std::vector<Half> build_fp16_table(const ParsedBlock& b, bool log1p) {
   std::vector<Half> table(static_cast<std::size_t>(b.group_count) * kR);
-  emit_counts([&](std::size_t i) { return load_table_count(b.table.data(), i); },
-              table.size(), log1p, table.data());
+  const auto count = [&](std::size_t i) {
+    return load_table_count(b.table.data(), i);
+  };
+  if (!log1p) {
+    emit_counts(count, table.size(), false, table.data());
+    return table;
+  }
+  const auto& lut = log1p_table();
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    // A count outside the table, negative and hostile ones included, takes
+    // the direct transform: the scalar convert gives the span convert's bits.
+    const std::int32_t c = count(i);
+    const auto u = static_cast<std::uint32_t>(c);
+    table[i] = u < lut.size() ? lut[u] : Half(transform_count(c, true));
+  }
   return table;
 }
 

@@ -8,10 +8,12 @@
 // table of unique groups and replaces each voxel with a 1- or 2-byte key.
 // Runs of identical keys (empty space) get a run-length "broadcast" stream.
 //
-// The decode step fuses the benchmark's preprocessing: the log1p operator is
-// applied to the *table* (10^3 fewer values than the volume) and the table is
-// materialized directly in FP16, so the scatter writes feed the
-// mixed-precision model with zero further work. Casting counts through
+// The decode step fuses the benchmark's preprocessing: each block's group
+// table is materialized directly in FP16 with log1p applied, so the scatter
+// writes feed the mixed-precision model with zero further work. The log1p
+// runs once per distinct count, not per voxel or per group entry: counts in
+// [0, 65536) read a process-wide count->FP16 table built once on first use,
+// and any other count takes the direct transform. Casting counts through
 // log1p to FP16 is the only precision change; the paper calls this encoding
 // "not lossy when casting to FP16" because every voxel with equal counts maps
 // to the identical FP16 value.

@@ -66,7 +66,7 @@ void WireClient::backoff(int attempt) {
 template <typename Payload>
 FrameView WireClient::handshake(FrameType type, const Payload& request,
                                 FrameType want) {
-  send_frame(conn_, type, 0, request);
+  send_frame(conn_, send_buf_, type, 0, request);
   const FrameView reply = *recv_frame(conn_, reply_buf_, /*eof_ok=*/false);
   if (reply.type != want && reply.type != FrameType::kError) {
     throw ProtocolError(fmt("wire: expected {}, got {}", frame_type_name(want),
@@ -166,7 +166,7 @@ FrameView WireClient::roundtrip(FrameType type, std::uint8_t flags,
             // re-sent) — nothing is lost.
             (void)recv_frame(conn_, reply_buf_, /*eof_ok=*/false);
           }
-          send_frame(conn_, type, flags, request);
+          send_frame(conn_, send_buf_, type, flags, request);
         }
         next_in_flight_ = false;
         reply = recv_frame(conn_, reply_buf_, /*eof_ok=*/false);
@@ -282,7 +282,7 @@ bool WireClient::next(pipeline::Batch& batch) {
     // the next call's reconnect path re-sends the same ack.
     try {
       const NextPayload ahead = make_next(stats_.delivered);
-      send_frame(conn_, FrameType::kNext, ahead.flags(), ahead);
+      send_frame(conn_, send_buf_, FrameType::kNext, ahead.flags(), ahead);
       next_in_flight_ = true;
     } catch (const IoError&) {
       conn_.close();

@@ -191,6 +191,9 @@ class WireClient {
 
   WireClientConfig config_;
   Socket conn_;
+  /// Reusable send buffer: every request frame is built in it, so the
+  /// pipelined NEXT per batch does not allocate.
+  Bytes send_buf_;
   /// Reusable receive buffer: a BATCH frame is decoded in place from here
   /// (no payload copy), and steady-state delivery does not allocate.
   Bytes reply_buf_;

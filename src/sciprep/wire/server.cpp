@@ -184,11 +184,12 @@ void WireServer::sweep_loop() {
   }
 }
 
-void WireServer::handle_connection(Socket conn, long conn_id) {
-  set_io_deadline(conn, config_.request_timeout_seconds);
+void WireServer::handle_connection(Socket socket, long conn_id) {
+  Conn conn{std::move(socket), {}};
+  set_io_deadline(conn.socket, config_.request_timeout_seconds);
   // Deep enough for one typical BATCH frame: send() then returns before the
   // client drains, so the read-ahead produce overlaps the transfer.
-  set_socket_buffers(conn, 4 << 20);
+  set_socket_buffers(conn.socket, 4 << 20);
   std::string attached;  // tenant this connection owns, empty before ATTACH
   // One receive buffer per connection; every request is parsed in place.
   Bytes buf;
@@ -196,7 +197,7 @@ void WireServer::handle_connection(Socket conn, long conn_id) {
     FrameView request;
     try {
       const std::optional<FrameView> got =
-          recv_frame(conn, buf, /*eof_ok=*/true);
+          recv_frame(conn.socket, buf, /*eof_ok=*/true);
       if (!got) break;  // clean close
       request = *got;
     } catch (const TransientError&) {
@@ -229,8 +230,8 @@ void WireServer::handle_connection(Socket conn, long conn_id) {
   conn_fds_.erase(conn_id);
 }
 
-bool WireServer::dispatch(const Socket& conn, long conn_id,
-                          std::string& attached, const FrameView& request) {
+bool WireServer::dispatch(Conn& conn, long conn_id, std::string& attached,
+                          const FrameView& request) {
   switch (request.type) {
     case FrameType::kHello: {
       const HelloPayload hello = HelloPayload::decode(request.payload);
@@ -312,7 +313,7 @@ bool WireServer::dispatch(const Socket& conn, long conn_id,
   }
 }
 
-void WireServer::handle_attach(const Socket& conn, long conn_id,
+void WireServer::handle_attach(Conn& conn, long conn_id,
                                std::string& attached,
                                const FrameView& request) {
   const AttachPayload attach = AttachPayload::decode(request.payload);
@@ -406,7 +407,7 @@ void WireServer::handle_attach(const Socket& conn, long conn_id,
           reply);
 }
 
-void WireServer::handle_next(const Socket& conn, long conn_id,
+void WireServer::handle_next(Conn& conn, long conn_id,
                              const std::string& attached,
                              const FrameView& request) {
   obs::Tracer& tracer = obs::Tracer::global();
@@ -526,10 +527,10 @@ void WireServer::handle_next(const Socket& conn, long conn_id,
       emit_wire_fault(attached, fmt("injected frame corruption on seq {}",
                                     session->retained_seq));
     }
-    sysio::write_full(conn.fd(), mutated.data(), mutated.size());
+    sysio::write_full(conn.socket.fd(), mutated.data(), mutated.size());
   } else {
     // The retained envelope is already a whole frame: write it as is.
-    sysio::write_full(conn.fd(), out.data(), out.size());
+    sysio::write_full(conn.socket.fd(), out.data(), out.size());
   }
   batches_sent_.add(1);
   frames_sent_.add(1);
@@ -627,7 +628,7 @@ bool WireServer::encode_next_batch(Session& session, bool degraded, Bytes& out,
   return true;
 }
 
-WireServer::Session* WireServer::live_session(const Socket& conn,
+WireServer::Session* WireServer::live_session(Conn& conn,
                                               const std::string& attached) {
   std::string evicted;
   ErrorClass error_class = ErrorClass::kConfig;
@@ -645,8 +646,7 @@ WireServer::Session* WireServer::live_session(const Socket& conn,
   return nullptr;
 }
 
-void WireServer::handle_detach(const Socket& conn,
-                               const std::string& attached) {
+void WireServer::handle_detach(Conn& conn, const std::string& attached) {
   const std::shared_lock sweep(sweep_mutex_);
   std::lock_guard lock(roster_mutex_);
   const auto it = sessions_.find(attached);
@@ -668,8 +668,7 @@ void WireServer::handle_detach(const Socket& conn,
   roster_cv_.notify_all();
 }
 
-void WireServer::handle_clock_sync(const Socket& conn,
-                                   const FrameView& request) {
+void WireServer::handle_clock_sync(Conn& conn, const FrameView& request) {
   // Stamp as late as possible: the estimator's error bound is half the
   // round trip, so every instruction between recv and this read widens it.
   ClockSyncPayload sync = ClockSyncPayload::decode(request.payload);
@@ -677,8 +676,7 @@ void WireServer::handle_clock_sync(const Socket& conn,
   respond(conn, FrameType::kClockSync, 0, sync);
 }
 
-void WireServer::handle_stats(const Socket& conn,
-                              const std::string& attached) {
+void WireServer::handle_stats(Conn& conn, const std::string& attached) {
   const std::shared_lock sweep(sweep_mutex_);
   Session* const session = live_session(conn, attached);
   if (session == nullptr) return;
@@ -694,7 +692,7 @@ void WireServer::handle_stats(const Socket& conn,
   respond(conn, FrameType::kStats, 0, reply);
 }
 
-void WireServer::handle_trace(const Socket& conn, const FrameView& request) {
+void WireServer::handle_trace(Conn& conn, const FrameView& request) {
   const TraceRequestPayload req = TraceRequestPayload::decode(request.payload);
   obs::Tracer& tracer = obs::Tracer::global();
   TracePayload reply;
@@ -707,7 +705,7 @@ void WireServer::handle_trace(const Socket& conn, const FrameView& request) {
   respond(conn, FrameType::kTrace, 0, reply);
 }
 
-void WireServer::send_error(const Socket& conn, ErrorClass error_class,
+void WireServer::send_error(Conn& conn, ErrorClass error_class,
                             std::string message) {
   ErrorPayload payload;
   payload.error_class = static_cast<std::uint8_t>(error_class);

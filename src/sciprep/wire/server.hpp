@@ -153,16 +153,23 @@ class WireServer {
     ErrorClass terminal_class = ErrorClass::kConfig;
   };
 
+  /// One accepted connection: its socket and the buffer its handler builds
+  /// every reply frame in (a BATCH frame is written from its Session).
+  struct Conn {
+    Socket socket;
+    Bytes send_buf;
+  };
+
   void accept_loop();
   void sweep_loop();
-  void handle_connection(Socket conn, long conn_id);
+  void handle_connection(Socket socket, long conn_id);
   /// Dispatch one request frame; returns false to sever the connection.
-  bool dispatch(const Socket& conn, long conn_id, std::string& attached,
+  bool dispatch(Conn& conn, long conn_id, std::string& attached,
                 const FrameView& request);
-  void handle_attach(const Socket& conn, long conn_id, std::string& attached,
+  void handle_attach(Conn& conn, long conn_id, std::string& attached,
                      const FrameView& request);
-  void handle_next(const Socket& conn, long conn_id,
-                   const std::string& attached, const FrameView& request);
+  void handle_next(Conn& conn, long conn_id, const std::string& attached,
+                   const FrameView& request);
   /// Pull one batch from the service and encode it as a BATCH frame into
   /// `out` (seq tag in `seq`). False when the stream is exhausted; service
   /// eviction propagates as the thrown exception. `produce_ns`/`encode_ns`
@@ -173,22 +180,21 @@ class WireServer {
   /// The attached tenant's session, or nullptr after replying with the
   /// terminal error of a tenant the service evicted (under the eviction's
   /// own class the first time a read-ahead eviction is reported).
-  Session* live_session(const Socket& conn, const std::string& attached);
-  void handle_detach(const Socket& conn, const std::string& attached);
+  Session* live_session(Conn& conn, const std::string& attached);
+  void handle_detach(Conn& conn, const std::string& attached);
   /// flow handlers: steady-clock exchange, per-tenant fleet.v1 line, and
   /// the server span-ring pull.
-  void handle_clock_sync(const Socket& conn, const FrameView& request);
-  void handle_stats(const Socket& conn, const std::string& attached);
-  void handle_trace(const Socket& conn, const FrameView& request);
+  void handle_clock_sync(Conn& conn, const FrameView& request);
+  void handle_stats(Conn& conn, const std::string& attached);
+  void handle_trace(Conn& conn, const FrameView& request);
   /// Send one frame and count it in wire.frames_sent_total.
   template <typename Payload>
-  void respond(const Socket& conn, FrameType type, std::uint8_t flags,
+  void respond(Conn& conn, FrameType type, std::uint8_t flags,
                const Payload& payload) {
-    send_frame(conn, type, flags, payload);
+    send_frame(conn.socket, conn.send_buf, type, flags, payload);
     frames_sent_.add(1);
   }
-  void send_error(const Socket& conn, ErrorClass error_class,
-                  std::string message);
+  void send_error(Conn& conn, ErrorClass error_class, std::string message);
   void emit_wire_fault(const std::string& tenant, std::string detail);
   void release_owner(long conn_id);
 

@@ -6,7 +6,8 @@
 // a frame and one way to receive one:
 //
 //   * send_frame() serializes a payload's encode_into() straight into a
-//     begin_frame()/finish_frame() envelope and writes it.
+//     begin_frame()/finish_frame() envelope in a caller-owned, reused
+//     buffer and writes it.
 //   * recv_frame() reads the fixed header into a caller-owned, grow-only
 //     buffer, validates it before trusting the declared length, reads the
 //     remainder, and returns decode_frame_view() over the envelope — the
@@ -75,14 +76,17 @@ void ignore_sigpipe() noexcept;
 void set_socket_buffers(const Socket& socket, int bytes) noexcept;
 
 /// Send one frame: `payload` (any payload struct, or EmptyPayload) is
-/// serialized by its encode_into() directly into the envelope.
+/// serialized by its encode_into() directly into the envelope, built in the
+/// caller-owned `buf`. The frame's storage is handed back in `buf`, so a
+/// connection that keeps one send buffer stops allocating for its control
+/// frames once it has sent its largest one.
 template <typename Payload>
-void send_frame(const Socket& socket, FrameType type, std::uint8_t flags,
-                const Payload& payload) {
-  ByteWriter w = begin_frame();
+void send_frame(const Socket& socket, Bytes& buf, FrameType type,
+                std::uint8_t flags, const Payload& payload) {
+  ByteWriter w = begin_frame(std::move(buf));
   payload.encode_into(w);
-  const Bytes frame = finish_frame(std::move(w), type, flags);
-  sysio::write_full(socket.fd(), frame.data(), frame.size());
+  buf = finish_frame(std::move(w), type, flags);
+  sysio::write_full(socket.fd(), buf.data(), buf.size());
 }
 
 /// Receive one frame into `buf` and return a view of it; the payload points

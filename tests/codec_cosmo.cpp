@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "sciprep/codec/cosmo_codec.hpp"
@@ -210,6 +212,61 @@ TEST(CosmoCodec, WithoutLog1pEmitsRawCounts) {
     ASSERT_EQ(decoded.values[i].bits(),
               expected_value(sample.counts[i], false).bits());
   }
+}
+
+/// Decode `encoded` on the CPU and the SimGpu (whose table kernel applies
+/// the transform per entry) and check both against the direct transform.
+void expect_direct_transform_bits(const io::CosmoSample& sample,
+                                  const Bytes& encoded) {
+  const CosmoCodec codec;
+  const TensorF16 cpu = codec.decode_cpu(encoded);
+  sim::SimGpu gpu({.sm_count = 2, .warps_per_sm = 2});
+  const TensorF16 dev = codec.decode_gpu(encoded, gpu);
+  ASSERT_EQ(cpu.values.size(), sample.counts.size());
+  ASSERT_EQ(dev.values.size(), sample.counts.size());
+  for (std::size_t i = 0; i < sample.counts.size(); ++i) {
+    ASSERT_EQ(cpu.values[i].bits(), dev.values[i].bits()) << "value " << i;
+    ASSERT_EQ(cpu.values[i].bits(), expected_value(sample.counts[i]).bits())
+        << "value " << i << " count " << sample.counts[i];
+  }
+}
+
+TEST(CosmoCodec, EveryCountOfTheLog1pTableDecodesToTheDirectTransform) {
+  // Every count in [0, 65536), each of which the CPU decode reads from its
+  // process-wide table, twice over.
+  io::CosmoSample sample;
+  sample.dim = 32;
+  sample.counts.resize(sample.value_count());
+  for (std::size_t i = 0; i < sample.counts.size(); ++i) {
+    sample.counts[i] = static_cast<std::int32_t>(i % 65536);
+  }
+  sample.params = {1, 2, 3, 4};
+  expect_direct_transform_bits(sample, CosmoCodec().encode_sample(sample));
+}
+
+TEST(CosmoCodec, CountsOutsideTheLog1pTableDecodeToTheDirectTransform) {
+  // The encoder refuses negative counts with log1p, so build the sample
+  // without it and set the log1p flag (byte 5 of the header) by hand: the
+  // group table then holds counts on both sides of the count table's range.
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  const std::int32_t counts[] = {-1,   -2,   65536, 65537,
+                                 kMax, kMin, 0,     65535};
+  io::CosmoSample sample;
+  sample.dim = 8;
+  sample.counts.resize(sample.value_count());
+  for (std::size_t i = 0; i < sample.counts.size(); ++i) {
+    sample.counts[i] = counts[i % std::size(counts)];
+  }
+  sample.params = {1, 2, 3, 4};
+  Bytes encoded = CosmoCodec({.fuse_log1p = false}).encode_sample(sample);
+  ASSERT_EQ(encoded[5], 0);
+  encoded[5] = 0x01;
+  expect_direct_transform_bits(sample, encoded);
+  const TensorF16 cpu = CosmoCodec().decode_cpu(encoded);
+  EXPECT_TRUE(cpu.values[0].is_inf() && cpu.values[0].signbit());  // -1
+  EXPECT_TRUE(cpu.values[1].is_nan());                             // -2
+  EXPECT_TRUE(cpu.values[5].is_nan());                             // kMin
 }
 
 TEST(CosmoCodec, NegativeCountsRejectedWithLog1p) {

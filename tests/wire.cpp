@@ -701,11 +701,14 @@ TEST(WireSocket, FrameRoundtripAcrossAConnection) {
     const std::optional<FrameView> request = recv_frame(conn, buf, false);
     ASSERT_TRUE(request);
     EXPECT_EQ(request->type, FrameType::kHello);
-    send_frame(conn, FrameType::kWelcome, 0, RawPayload{request->payload});
+    Bytes out;
+    send_frame(conn, out, FrameType::kWelcome, 0,
+               RawPayload{request->payload});
   });
   Socket client = connect_unix(path);
   const RawFrame hello = make_frame(FrameType::kHello, 0, 100);
-  send_frame(client, hello.type, hello.flags, RawPayload{hello.payload});
+  Bytes out;
+  send_frame(client, out, hello.type, hello.flags, RawPayload{hello.payload});
   Bytes buf;
   const std::optional<FrameView> reply = recv_frame(client, buf, false);
   ASSERT_TRUE(reply);
@@ -755,14 +758,15 @@ TEST(WireSocket, HostileBatchBodyLeavesTheCallersBatchIntact) {
     ASSERT_TRUE(conn.valid());
     set_io_deadline(conn, 5.0);
     Bytes buf;
+    Bytes out;
     ASSERT_TRUE(recv_frame(conn, buf, false));  // HELLO
-    send_frame(conn, FrameType::kWelcome, 0, WelcomePayload{});
+    send_frame(conn, out, FrameType::kWelcome, 0, WelcomePayload{});
     ASSERT_TRUE(recv_frame(conn, buf, false));  // ATTACH
-    send_frame(conn, FrameType::kAttached, 0, AttachedPayload{});
+    send_frame(conn, out, FrameType::kAttached, 0, AttachedPayload{});
     ASSERT_TRUE(recv_frame(conn, buf, false));  // NEXT ack 0
-    send_frame(conn, FrameType::kBatch, 0, good);
+    send_frame(conn, out, FrameType::kBatch, 0, good);
     ASSERT_TRUE(recv_frame(conn, buf, false));  // pipelined NEXT ack 1
-    send_frame(conn, FrameType::kBatch, 0, RawPayload{bad});
+    send_frame(conn, out, FrameType::kBatch, 0, RawPayload{bad});
     (void)recv_frame(conn, buf, true);  // until the client closes
   });
   {
@@ -1041,7 +1045,8 @@ TEST(WireEndToEnd, HostilePeerIsContainedAndCoTenantUnharmed) {
   // Hostile peer 2: valid envelope, server-only frame type.
   {
     Socket hostile = connect_unix(path);
-    send_frame(hostile, FrameType::kBatch, 0, EmptyPayload{});
+    Bytes out;
+    send_frame(hostile, out, FrameType::kBatch, 0, EmptyPayload{});
     Bytes buf;
     const std::optional<FrameView> reply = recv_frame(hostile, buf, false);
     ASSERT_TRUE(reply);

@@ -3,7 +3,8 @@
 // batches and proves the served byte path recycles its buffers — the
 // server's BATCH frames (retained + read-ahead swap storage) and the
 // client's decoded tensors (decoded into a client-owned batch, swapped with
-// the caller's). A binary of its own, because replacing operator new is
+// the caller's), and the client's request frames (one reused send
+// buffer). A binary of its own, because replacing operator new is
 // process-wide.
 #include <gtest/gtest.h>
 
@@ -27,13 +28,14 @@
 namespace {
 
 /// While armed, count allocations of at least g_any_floor bytes on any
-/// thread, and of at least g_here_floor bytes on the thread that set
-/// t_watched.
+/// thread, and on the thread that set t_watched both every allocation and
+/// those of at least g_here_floor bytes.
 std::atomic<bool> g_armed{false};
 std::atomic<std::size_t> g_any_floor{0};
 std::atomic<std::size_t> g_here_floor{0};
 std::atomic<std::uint64_t> g_any_big{0};
 std::atomic<std::uint64_t> g_here_big{0};
+std::atomic<std::uint64_t> g_here_all{0};
 thread_local bool t_watched = false;
 
 void* counted_alloc(std::size_t n) {
@@ -41,8 +43,11 @@ void* counted_alloc(std::size_t n) {
     if (n >= g_any_floor.load(std::memory_order_relaxed)) {
       g_any_big.fetch_add(1, std::memory_order_relaxed);
     }
-    if (t_watched && n >= g_here_floor.load(std::memory_order_relaxed)) {
-      g_here_big.fetch_add(1, std::memory_order_relaxed);
+    if (t_watched) {
+      g_here_all.fetch_add(1, std::memory_order_relaxed);
+      if (n >= g_here_floor.load(std::memory_order_relaxed)) {
+        g_here_big.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
@@ -100,6 +105,9 @@ TEST(WireAlloc, SteadyStateServingAllocatesNoFrameAndNoSampleTensor) {
   WireClientConfig client_cfg;
   client_cfg.socket_path = server_cfg.socket_path;
   client_cfg.tenant = spec.name;
+  // The stream digest adds map nodes per batch; leave it out so the count
+  // below sees the wire path alone.
+  client_cfg.record_digest = false;
   WireClient client(client_cfg);
   pipeline::Batch batch;
   for (int i = 0; i < kWarmup; ++i) ASSERT_TRUE(client.next(batch));
@@ -124,6 +132,11 @@ TEST(WireAlloc, SteadyStateServingAllocatesNoFrameAndNoSampleTensor) {
   EXPECT_EQ(g_here_big.load(), 0u)
       << "allocations of >= one sample's values (" << sample_bytes
       << " bytes) on the calling thread across " << kMeasured << " batches";
+  // Each next() sends the pipelined NEXT from the client's reused send
+  // buffer: steady state allocates less than once per call on this thread.
+  EXPECT_LT(g_here_all.load(), static_cast<std::uint64_t>(kMeasured))
+      << "allocations of any size on the calling thread across " << kMeasured
+      << " batches";
   EXPECT_EQ(client.stats().delivered,
             static_cast<std::uint64_t>(kWarmup + kMeasured));
   EXPECT_EQ(client.stats().reconnects, 0u);
